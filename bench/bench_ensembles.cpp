@@ -6,9 +6,9 @@
 // sequentially and on the thread pool; any bitwise divergence is a
 // determinism bug and fails the run.
 //
-// The default family set includes the 128-node scale-free family the fast
-// packing engine unlocked, riding on FamilySpec::anneal_iterations (a
-// smaller per-family budget than the 24-node families).
+// The default family set includes the 128-node scale-free family the
+// O(n log n) packing unlocked, riding on FamilySpec::anneal_iterations
+// (a smaller per-family budget than the 24-node families).
 //
 // CSV: writes <prefix>_samples.csv and <prefix>_families.csv (prefix from
 // the first non-flag argument, default "bench_ensembles") for the
@@ -26,7 +26,6 @@
 
 #include "bench_common.hpp"
 #include "cli/arg_parser.hpp"
-#include "floorplan/pack_engine.hpp"
 #include "gen/ensemble.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -99,9 +98,8 @@ wp::gen::EnsembleConfig make_config() {
 /// The 256/512/1024-node scale sweep, collected for the JSON artifact.
 struct ScaleSection {
   bool ran = false;
-  bool engines_identical = true;
-  double batched_ms = 0.0;          ///< pooled run, serial kBatched anneals
-  double parallel_engine_ms = 0.0;  ///< pooled run, kParallel anneals
+  bool deterministic = true;  ///< sequential run == pooled run
+  double batched_ms = 0.0;    ///< pooled run, kBatched anneals
   struct Row {
     std::string family;
     std::size_t samples = 0;
@@ -112,12 +110,10 @@ struct ScaleSection {
 
 /// Runs a slice of the scale substrate (ba-256 / mesh-16x16 / ba-1024,
 /// 2 samples each, simulation and cycle enumeration off — the pipeline is
-/// anneal -> placement RS demand -> min-cycle-ratio throughput) twice
-/// through the pooled runner: once with the serial kBatched engine, once
-/// with the speculative kParallel engine. The two reports must be
-/// bit-identical — the scale families are exactly where a parallel-window
-/// divergence would hide, so the bench doubles as the at-scale engine
-/// differential the unit tests cannot afford.
+/// anneal -> placement RS demand -> min-cycle-ratio throughput) twice with
+/// the kBatched engine: sequentially and through the pooled runner. The
+/// two reports must be bit-identical — the bench doubles as the at-scale
+/// sequential ≡ pooled check the unit tests cannot afford.
 ScaleSection run_scale_section() {
   using namespace wp;
   gen::EnsembleConfig config;
@@ -133,25 +129,23 @@ ScaleSection run_scale_section() {
   ScaleSection section;
   section.ran = true;
 
-  config.anneal.pack_engine = fplan::PackEngine::kBatched;
+  const auto sequential_start = Clock::now();
+  const gen::EnsembleReport sequential = gen::run_ensemble_sequential(config);
+  const double sequential_s = seconds_since(sequential_start);
+
   const auto batched_start = Clock::now();
   const gen::EnsembleReport batched = gen::run_ensemble(config);
   section.batched_ms = seconds_since(batched_start) * 1000.0;
 
-  config.anneal.pack_engine = fplan::PackEngine::kParallel;
-  const auto parallel_start = Clock::now();
-  const gen::EnsembleReport parallel = gen::run_ensemble(config);
-  section.parallel_engine_ms = seconds_since(parallel_start) * 1000.0;
-
-  section.engines_identical = batched.samples == parallel.samples;
+  section.deterministic = sequential.samples == batched.samples;
 
   TextTable table({"family", "samples", "Th mean", "RS mean", "area mean",
                    "anneal ms"});
   table.add_section(
-      "Scale substrate (2 samples/family, sim off, kBatched vs kParallel "
+      "Scale substrate (2 samples/family, sim off, sequential vs pooled "
       "bit-compared)");
   table.add_separator();
-  for (const auto& f : parallel.families) {
+  for (const auto& f : batched.families) {
     table.add_row({f.family, std::to_string(f.samples),
                    fmt_fixed(f.th_mean, 3), fmt_fixed(f.rs_mean, 1),
                    fmt_fixed(f.area_mean, 1),
@@ -160,11 +154,10 @@ ScaleSection run_scale_section() {
                             f.area_mean, f.anneal_ms_mean});
   }
   table.print(std::cout);
-  std::cout << "batched engine " << fmt_fixed(section.batched_ms / 1000.0, 2)
-            << " s, parallel engine "
-            << fmt_fixed(section.parallel_engine_ms / 1000.0, 2)
-            << " s   batched == parallel: "
-            << (section.engines_identical ? "yes" : "NO — ENGINE DIVERGENCE")
+  std::cout << "sequential " << fmt_fixed(sequential_s, 2) << " s, pooled "
+            << fmt_fixed(section.batched_ms / 1000.0, 2)
+            << " s   sequential == pooled: "
+            << (section.deterministic ? "yes" : "NO — DETERMINISM BUG")
             << "\n\n";
   return section;
 }
@@ -274,9 +267,8 @@ bool run_and_report(const wp::gen::EnsembleConfig& config,
     json.end_array();
     if (scale.ran) {
       json.key("scale").begin_object();
-      json.field("engines_identical", scale.engines_identical);
+      json.field("deterministic", scale.deterministic);
       json.field("batched_ms", scale.batched_ms);
-      json.field("parallel_engine_ms", scale.parallel_engine_ms);
       json.key("families").begin_array();
       for (const auto& r : scale.rows) {
         json.begin_object();
@@ -295,7 +287,7 @@ bool run_and_report(const wp::gen::EnsembleConfig& config,
     json_file << "\n";
   }
   std::cout << "wrote " << json_path << "\n\n";
-  return identical && (!scale.ran || scale.engines_identical);
+  return identical && (!scale.ran || scale.deterministic);
 }
 
 }  // namespace
@@ -315,7 +307,7 @@ int main(int argc, char** argv) {
                 "subset of families to run (default: all)");
   parser.flag("--no-sim", "skip the netlist-simulation pass");
   parser.flag("--no-scale",
-              "skip the 256/1024-node scale sweep (kBatched vs kParallel)");
+              "skip the 256/1024-node scale sweep (sequential vs pooled)");
   parser.option("--json", "PATH", "BENCH_ensembles.json",
                 "perf flight-recorder artifact");
   parser.positional("prefix", "bench_ensembles",

@@ -2,8 +2,10 @@
 // loop: the epoch-stamped MaxFenwick (plain updates, logged updates with
 // trail rewind, and the O(1)-amortised reset), the persistent dominance
 // index (build cost and O(log² n) prefix queries), and the end-to-end
-// per-move cost of a rejection-heavy move chain under the IncrementalPacker
-// vs the BatchedMoveEvaluator.
+// per-move cost of rejection-heavy move chains under the
+// BatchedMoveEvaluator. Each chain is replayed outside the timed region
+// against naive pack(), move by move, and any bitwise placement divergence
+// fails the run.
 //
 // Self-contained (no google-benchmark): deterministic seeded workloads,
 // checksums printed so the measured loops cannot be optimised away, and a
@@ -16,7 +18,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,14 +34,16 @@ namespace {
 
 using wp::fplan::AppliedMove;
 using wp::fplan::BatchedMoveEvaluator;
-using wp::fplan::IncrementalPacker;
 using wp::fplan::Instance;
+using wp::fplan::Placement;
 using wp::fplan::SequencePair;
 using wp::fplan::SpMove;
 using wp::fplan::detail::DominanceIndex;
 using wp::fplan::detail::MaxFenwick;
 
 constexpr std::size_t kBlocks = 256;
+/// Local-move chains swap within the last kLocalSpan Γ− positions.
+constexpr std::size_t kLocalSpan = 12;
 
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -48,7 +51,7 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One pack_fast-shaped Fenwick pass: n interleaved prefix_max/update
+/// One full-pack-shaped Fenwick pass: n interleaved prefix_max/update
 /// pairs, the exact access pattern of the O(n log n) packer.
 double fenwick_pass(MaxFenwick& fw, const std::vector<std::size_t>& keys,
                     const std::vector<double>& vals) {
@@ -60,6 +63,49 @@ double fenwick_pass(MaxFenwick& fw, const std::vector<std::size_t>& keys,
     fw.update(keys[i], coord + vals[i]);
   }
   return checksum;
+}
+
+struct ChainRun {
+  double total_ms = 0;
+  double checksum = 0;
+  bool matches_naive = true;
+  BatchedMoveEvaluator::Stats stats;
+};
+
+/// Drives a BatchedMoveEvaluator through `moves` candidates drawn by
+/// draw(sp, rng) (which applies the move to `sp`), accepting one in 16 —
+/// the annealing cold tail. Only the move loop is timed. With
+/// `check_naive` every candidate is also compared bitwise against naive
+/// pack() of the same pair: the untimed replay that guards the timed run.
+template <typename DrawMove>
+ChainRun run_chain(const Instance& inst, std::uint64_t seed, int moves,
+                   const DrawMove& draw, bool check_naive) {
+  wp::Rng rng(seed);
+  SequencePair sp = SequencePair::random(kBlocks, rng);
+  BatchedMoveEvaluator evaluator(inst, sp);
+  ChainRun run;
+  const auto start = std::chrono::steady_clock::now();
+  for (int m = 0; m < moves; ++m) {
+    const AppliedMove move = draw(sp, rng);
+    const Placement& candidate = evaluator.apply(move);
+    run.checksum += candidate.area();
+    if (check_naive) {
+      const Placement naive = pack(inst, sp);
+      run.matches_naive = run.matches_naive && candidate.x == naive.x &&
+                          candidate.y == naive.y &&
+                          candidate.width == naive.width &&
+                          candidate.height == naive.height;
+    }
+    if (m % 16 != 15) {
+      undo_move(sp, move);
+      evaluator.revert();
+    } else {
+      evaluator.commit();
+    }
+  }
+  run.total_ms = ms_since(start);
+  run.stats = evaluator.stats();
+  return run;
 }
 
 }  // namespace
@@ -76,7 +122,7 @@ int main(int argc, char** argv) {
 
   Rng rng(17);
   // Shared deterministic workload: a random key permutation plus positive
-  // block extents, the shape pack_fast feeds the tree.
+  // block extents, the shape a full pack feeds the tree.
   std::vector<std::size_t> keys(kBlocks);
   for (std::size_t i = 0; i < kBlocks; ++i) keys[i] = i;
   for (std::size_t i = kBlocks - 1; i > 0; --i)
@@ -161,56 +207,27 @@ int main(int argc, char** argv) {
                  fmt_fixed(dom_query_ns, 1) + " ns/query"});
 
   // ------------------------------- rejection-heavy move chain, n = 256
-  // The annealing cold tail: 1 move in 16 accepted. Identical seeded move
-  // streams per engine; the checksums must agree bitwise (the engines'
-  // differential contract), and the batched evaluator's persistent-index
-  // rejection path is where it earns its keep.
+  // The annealing cold tail: 1 move in 16 accepted, uniform global swaps.
+  // The replay must match naive pack() at every move, and its checksum
+  // must equal the timed run's (same seed, so the same chain).
   const Instance inst = wp::fplan::synthetic_instance(kBlocks, 11);
   const int chain_moves = 4000;
-  const auto run_chain = [&](auto& engine_like, SequencePair& sp,
-                             Rng& chain_rng) {
-    double chain_checksum = 0;
-    for (int m = 0; m < chain_moves; ++m) {
-      const AppliedMove move = random_move(sp, chain_rng);
-      chain_checksum += engine_like.apply(move).area();
-      if (m % 16 != 15) {
-        undo_move(sp, move);
-        engine_like.revert();
-      } else if constexpr (std::is_same_v<std::decay_t<decltype(engine_like)>,
-                                          BatchedMoveEvaluator>) {
-        engine_like.commit();
-      }
-    }
-    return chain_checksum;
+  const auto global_move = [](SequencePair& sp, Rng& chain_rng) {
+    return random_move(sp, chain_rng);
   };
-
-  Rng incr_rng(31);
-  SequencePair incr_sp = SequencePair::random(kBlocks, incr_rng);
-  IncrementalPacker packer(inst, incr_sp);
-  const auto incr_start = std::chrono::steady_clock::now();
-  const double incr_checksum = run_chain(packer, incr_sp, incr_rng);
-  const double chain_incr_total_ms = ms_since(incr_start);
-
-  Rng batched_rng(31);
-  SequencePair batched_sp = SequencePair::random(kBlocks, batched_rng);
-  BatchedMoveEvaluator evaluator(inst, batched_sp);
-  const auto batched_start = std::chrono::steady_clock::now();
-  const double batched_checksum =
-      run_chain(evaluator, batched_sp, batched_rng);
-  const double chain_batched_total_ms = ms_since(batched_start);
-  if (incr_checksum != batched_checksum) {
-    std::cerr << "BATCHED ENGINE DIVERGENCE in micro chain\n";
+  const ChainRun chain = run_chain(inst, 31, chain_moves, global_move, false);
+  const ChainRun chain_replay =
+      run_chain(inst, 31, chain_moves, global_move, true);
+  if (!chain_replay.matches_naive ||
+      chain_replay.checksum != chain.checksum) {
+    std::cerr << "BATCHED ENGINE DIVERGENCE from naive pack() in micro "
+                 "chain\n";
     return 1;
   }
-  table.add_row({"IncrementalPacker", "1-in-16 accept chain x" +
-                                          std::to_string(chain_moves),
-                 fmt_fixed(chain_incr_total_ms, 1),
-                 fmt_fixed(chain_incr_total_ms * 1000.0 / chain_moves, 2) +
-                     " us/move"});
   table.add_row({"BatchedMoveEvaluator", "1-in-16 accept chain x" +
                                              std::to_string(chain_moves),
-                 fmt_fixed(chain_batched_total_ms, 1),
-                 fmt_fixed(chain_batched_total_ms * 1000.0 / chain_moves, 2) +
+                 fmt_fixed(chain.total_ms, 1),
+                 fmt_fixed(chain.total_ms * 1000.0 / chain_moves, 2) +
                      " us/move"});
 
   // ------------------------------- local-move chain (tail refinement)
@@ -219,66 +236,35 @@ int main(int argc, char** argv) {
   // suffix tiny and the clean prefix huge. This is the persistent
   // dominance index's home regime: no per-candidate prefix prime at all.
   const int local_moves = 4000;
-  const std::size_t local_span = 12;
-  const auto run_local = [&](auto& engine_like, SequencePair& sp,
-                             Rng& chain_rng) {
-    double local_checksum = 0;
-    for (int m = 0; m < local_moves; ++m) {
-      const std::size_t i =
-          kBlocks - 1 - chain_rng.below(local_span);
-      std::size_t j = kBlocks - 1 - chain_rng.below(local_span);
-      if (j == i) j = kBlocks - 1 - ((kBlocks - 1 - j + 1) % local_span);
-      const AppliedMove move{SpMove::kSwapNegative, i, j};
-      apply_move(sp, move);
-      local_checksum += engine_like.apply(move).area();
-      if (m % 16 != 15) {
-        undo_move(sp, move);
-        engine_like.revert();
-      } else if constexpr (std::is_same_v<std::decay_t<decltype(engine_like)>,
-                                          BatchedMoveEvaluator>) {
-        engine_like.commit();
-      }
-    }
-    return local_checksum;
+  const auto local_move = [](SequencePair& sp, Rng& chain_rng) {
+    const std::size_t i = kBlocks - 1 - chain_rng.below(kLocalSpan);
+    std::size_t j = kBlocks - 1 - chain_rng.below(kLocalSpan);
+    if (j == i) j = kBlocks - 1 - ((kBlocks - 1 - j + 1) % kLocalSpan);
+    const AppliedMove move{SpMove::kSwapNegative, i, j};
+    apply_move(sp, move);
+    return move;
   };
-
-  Rng local_incr_rng(37);
-  SequencePair local_incr_sp = SequencePair::random(kBlocks, local_incr_rng);
-  IncrementalPacker local_packer(inst, local_incr_sp);
-  const auto local_incr_start = std::chrono::steady_clock::now();
-  const double local_incr_checksum =
-      run_local(local_packer, local_incr_sp, local_incr_rng);
-  const double local_incr_total_ms = ms_since(local_incr_start);
-
-  Rng local_batched_rng(37);
-  SequencePair local_batched_sp =
-      SequencePair::random(kBlocks, local_batched_rng);
-  BatchedMoveEvaluator local_evaluator(inst, local_batched_sp);
-  const auto local_batched_start = std::chrono::steady_clock::now();
-  const double local_batched_checksum =
-      run_local(local_evaluator, local_batched_sp, local_batched_rng);
-  const double local_batched_total_ms = ms_since(local_batched_start);
-  if (local_incr_checksum != local_batched_checksum) {
-    std::cerr << "BATCHED ENGINE DIVERGENCE in local-move chain\n";
+  const ChainRun local = run_chain(inst, 37, local_moves, local_move, false);
+  const ChainRun local_replay =
+      run_chain(inst, 37, local_moves, local_move, true);
+  if (!local_replay.matches_naive ||
+      local_replay.checksum != local.checksum) {
+    std::cerr << "BATCHED ENGINE DIVERGENCE from naive pack() in local-move "
+                 "chain\n";
     return 1;
   }
-  table.add_row({"IncrementalPacker", "local 1-in-16 chain x" +
-                                          std::to_string(local_moves),
-                 fmt_fixed(local_incr_total_ms, 1),
-                 fmt_fixed(local_incr_total_ms * 1000.0 / local_moves, 2) +
-                     " us/move"});
   table.add_row({"BatchedMoveEvaluator", "local 1-in-16 chain x" +
                                              std::to_string(local_moves),
-                 fmt_fixed(local_batched_total_ms, 1),
-                 fmt_fixed(local_batched_total_ms * 1000.0 / local_moves, 2) +
+                 fmt_fixed(local.total_ms, 1),
+                 fmt_fixed(local.total_ms * 1000.0 / local_moves, 2) +
                      " us/move"});
   table.print(std::cout);
-  const BatchedMoveEvaluator::Stats& stats = evaluator.stats();
+  const BatchedMoveEvaluator::Stats& stats = chain.stats;
   std::cout << "chain path split: " << stats.persistent_evals
             << " persistent / " << stats.prime_evals << " primed / "
             << stats.full_packs << " full; " << stats.index_rebuilds
             << " index rebuilds\n";
-  const BatchedMoveEvaluator::Stats& local_stats = local_evaluator.stats();
+  const BatchedMoveEvaluator::Stats& local_stats = local.stats;
   std::cout << "local chain path split: " << local_stats.persistent_evals
             << " persistent / " << local_stats.prime_evals << " primed / "
             << local_stats.full_packs << " full; "
@@ -286,7 +272,7 @@ int main(int argc, char** argv) {
             << local_stats.reprime_positions_saved
             << " prime positions saved\n";
   std::cout << "checksums: " << checksum << " " << logged_checksum << " "
-            << query_checksum << " " << incr_checksum << "\n";
+            << query_checksum << " " << chain.checksum << "\n";
 
   // ---------------------------------------------------- JSON artifact
   std::ofstream file(json_path);
@@ -306,14 +292,8 @@ int main(int argc, char** argv) {
       .field("dominance_build_us_each", dom_build_us)
       .field("dominance_query_total_ms", dom_query_total_ms)
       .field("dominance_query_op_ns", dom_query_ns)
-      .field("chain_incremental_total_ms", chain_incr_total_ms)
-      .field("chain_batched_total_ms", chain_batched_total_ms)
-      .field("chain_tail_speedup",
-             chain_incr_total_ms / chain_batched_total_ms)
-      .field("local_chain_incremental_total_ms", local_incr_total_ms)
-      .field("local_chain_batched_total_ms", local_batched_total_ms)
-      .field("local_chain_speedup",
-             local_incr_total_ms / local_batched_total_ms);
+      .field("chain_batched_total_ms", chain.total_ms)
+      .field("local_chain_batched_total_ms", local.total_ms);
   json.end_object();
   file << "\n";
   std::cout << "wrote " << json_path << "\n";

@@ -40,8 +40,9 @@ namespace wp::eval {
 
 /// Version byte leading every encoded EvalRequest/EvalReply. Bump on any
 /// layout change; decoders reject foreign versions with WireError.
-/// v2: FamilySpec carries per-family simulation horizons, and the
-/// pack-engine tag admits kParallel.
+/// v2: FamilySpec carries per-family simulation horizons. Retiring a
+/// pack engine does not bump it: the tag byte keeps its place, and
+/// decoders reject a retired tag.
 constexpr std::uint8_t kEvalVersion = 2;
 
 enum class RequestKind : std::uint8_t {
@@ -98,10 +99,9 @@ struct AnnealKnobs {
   double initial_temperature = 1.0;
   double cooling = 0.9995;
   std::uint64_t seed = 42;
-  /// Engine tag crosses the wire (kParallel included: the evaluating
-  /// process fans windows over its own ThreadPool::shared()); pool/window
-  /// tuning knobs do not — they are trajectory-invariant by contract, so
-  /// the reply is bit-identical whatever the worker picks.
+  /// Engine tag crosses the wire as its PackEngine number; decoding a
+  /// retired or unknown tag is a WireError. Both engines give bit-identical
+  /// replies, so the tag selects cost, never results.
   fplan::PackEngine pack_engine = fplan::PackEngine::kBatched;
 
   static AnnealKnobs from_options(const fplan::AnnealOptions& options);

@@ -10,7 +10,6 @@
 
 #include "floorplan/batch_pack.hpp"
 #include "floorplan/pack_engine.hpp"
-#include "floorplan/parallel_pack.hpp"
 #include "graph/throughput_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -87,25 +86,6 @@ class CostModel {
     return combine_cost(options_, placement.area(), wirelength, th);
   }
 
-  /// Same objective, assembled from pre-computed ingredients: the
-  /// kParallel loop derives area/wirelength/demand in the worker fan-out
-  /// (all pure functions of the candidate placement), and only the
-  /// stateful part — the throughput oracle and its memo — runs here, on
-  /// the serial retirement path, in exactly the serial candidate order.
-  /// Bitwise-identical to cost(): rs_demand is deterministic, so the
-  /// demand a worker computed is the demand cost() would have derived.
-  double cost_terms(double area, double wirelength,
-                    const std::vector<std::pair<std::string, int>>* demand,
-                    AnnealResult* stats) {
-    double th = 1.0;
-    if (use_throughput_) {
-      WP_REQUIRE(demand != nullptr,
-                 "throughput-weighted cost needs a demand vector");
-      th = throughput(*demand, stats);
-    }
-    return combine_cost(options_, area, wirelength, th);
-  }
-
  private:
   double throughput(const std::vector<std::pair<std::string, int>>& demand,
                     AnnealResult* stats) {
@@ -141,40 +121,32 @@ class CostModel {
   std::unordered_map<std::string, double> cache_;
 };
 
-/// The single-threaded move loop shared by kNaive/kFast/kBatched. The
-/// fast engine keeps an IncrementalPacker in lockstep with `current` and
-/// delta-evaluates each move; the batched engine speculates windows of
-/// candidates against a pinned baseline (BatchedMoveEvaluator); the naive
-/// engine re-packs from scratch. Placements are bit-identical across all
-/// three, so the accept/reject stream — and hence the whole trajectory —
-/// is engine-independent. Wirelength is a sequential full scan on every
-/// engine: under uniform global swaps a candidate moves ~n/3 blocks,
-/// touching most nets, and a hardware-prefetched pass over the net array
-/// beats any dirty-set walk at that density (measured; an incremental
-/// tracker was tried and lost at every instance family).
+/// The move loop shared by kNaive and kBatched. The batched engine
+/// speculates windows of candidates against a pinned baseline
+/// (BatchedMoveEvaluator); the naive engine re-packs from scratch.
+/// Placements are bit-identical across both, so the accept/reject stream
+/// — and hence the whole trajectory — is engine-independent. Wirelength
+/// is a sequential full scan on both engines: under uniform global swaps
+/// a candidate moves ~n/3 blocks, touching most nets, and a
+/// hardware-prefetched pass over the net array beats any dirty-set walk
+/// at that density (measured; an incremental tracker was tried and lost
+/// at every instance family).
 void run_serial_loop(const Instance& inst, const AnnealOptions& options,
                      CostModel& model, SequencePair& current, Rng& rng,
                      AnnealResult& best) {
-  const bool fast = options.pack_engine == PackEngine::kFast;
   const bool batched = options.pack_engine == PackEngine::kBatched;
   const auto initial_pack_start = Clock::now();
-  std::optional<IncrementalPacker> packer;
   std::optional<BatchedMoveEvaluator> evaluator;
+  Placement scratch;
   {
     WP_SPAN("anneal/pack");
-    if (fast) packer.emplace(inst, current);
-    if (batched) {
-      BatchOptions batch;
-      batch.batch_size = options.speculation_batch;
-      evaluator.emplace(inst, current, batch);
-    }
+    if (batched)
+      evaluator.emplace(inst, current);
+    else
+      scratch = pack(inst, current);
   }
-  Placement scratch;
-  if (!fast && !batched) scratch = pack(inst, current);
   best.pack_ms += ms_since(initial_pack_start);
-  const Placement* placement = batched ? &evaluator->placement()
-                               : fast  ? &packer->placement()
-                                       : &scratch;
+  const Placement* placement = batched ? &evaluator->placement() : &scratch;
   double wirelength = total_wirelength(inst, *placement);
   double current_cost = model.cost(*placement, wirelength, &best);
 
@@ -190,8 +162,6 @@ void run_serial_loop(const Instance& inst, const AnnealOptions& options,
     const Placement* candidate;
     if (batched) {
       candidate = &evaluator->apply(move);
-    } else if (fast) {
-      candidate = &packer->apply(move);
     } else {
       scratch = pack(inst, current);
       candidate = &scratch;
@@ -213,11 +183,7 @@ void run_serial_loop(const Instance& inst, const AnnealOptions& options,
       }
     } else {
       undo_move(current, move);
-      if (batched) {
-        evaluator->revert();
-      } else if (fast) {
-        packer->revert();
-      }
+      if (batched) evaluator->revert();
     }
     temperature *= options.cooling;
   }
@@ -230,88 +196,6 @@ void run_serial_loop(const Instance& inst, const AnnealOptions& options,
     best.batch_index_rebuilds = batch_stats.index_rebuilds;
     best.batch_reprime_saved = batch_stats.reprime_positions_saved;
   }
-}
-
-/// The kParallel move loop: speculation windows fanned across the pool,
-/// retired serially. Mirrors the serial loop decision for decision — each
-/// candidate's cost is assembled from worker-computed ingredients
-/// (cost_terms), the Metropolis test consumes the pre-drawn uniform, and
-/// on acceptance the RNG is rewound to the snapshot serial execution
-/// would have left behind — so the trajectory, the oracle query stream
-/// and every draw after the run are bit-identical to the serial engines.
-void run_parallel_window(const Instance& inst, const AnnealOptions& options,
-                         CostModel& model, SequencePair& current, Rng& rng,
-                         AnnealResult& best) {
-  ThreadPool& pool =
-      options.eval_pool != nullptr ? *options.eval_pool : ThreadPool::shared();
-  ParallelWindowOptions popts;
-  popts.window = options.parallel_window;
-  popts.batch.batch_size = options.speculation_batch;
-  popts.want_demand = options.weight_throughput > 0.0;
-  popts.delay_model = options.delay_model;
-  const auto initial_pack_start = Clock::now();
-  std::optional<ParallelWindowEvaluator> evaluator;
-  {
-    WP_SPAN("anneal/pack");
-    evaluator.emplace(inst, current, &pool, popts);
-  }
-  best.pack_ms += ms_since(initial_pack_start);
-  const double initial_wl = total_wirelength(inst, evaluator->placement());
-  double current_cost = model.cost(evaluator->placement(), initial_wl, &best);
-
-  best.sequence_pair = current;
-  best.placement = evaluator->placement();
-  best.cost = current_cost;
-
-  double temperature =
-      options.initial_temperature * std::max(current_cost, 1e-9);
-  int it = 0;
-  while (it < options.iterations) {
-    const std::size_t k =
-        std::min(evaluator->window(),
-                 static_cast<std::size_t>(options.iterations - it));
-    const auto pack_start = Clock::now();
-    const std::vector<SpeculativeCandidate>& window =
-        evaluator->speculate(current, rng, k);
-    best.pack_ms += ms_since(pack_start);
-    bool committed = false;
-    for (std::size_t t = 0; t < k && !committed; ++t) {
-      const SpeculativeCandidate& cand = window[t];
-      const double cost = model.cost_terms(
-          cand.area, cand.wirelength,
-          popts.want_demand ? &cand.demand : nullptr, &best);
-      ++best.evaluations;
-      ++it;
-      const double delta = cost - current_cost;
-      if (delta <= 0 ||
-          cand.accept_u < std::exp(-delta / std::max(temperature, 1e-12))) {
-        current_cost = cost;
-        ++best.accepted_moves;
-        apply_move(current, cand.move);
-        // Rewind to the serial stream position: a delta <= 0 accept never
-        // drew its acceptance uniform, a delta > 0 accept consumed it.
-        rng = delta <= 0 ? cand.rng_after_move : cand.rng_after_uniform;
-        const auto commit_start = Clock::now();
-        evaluator->commit(t);
-        best.pack_ms += ms_since(commit_start);
-        if (cost < best.cost) {
-          best.cost = cost;
-          best.sequence_pair = current;
-          best.placement = evaluator->placement();
-        }
-        committed = true;
-      }
-      temperature *= options.cooling;
-    }
-    // Full-window rejection: every rejection consumed its uniform, so the
-    // RNG already sits at the post-window serial position.
-    if (!committed) evaluator->discard();
-  }
-
-  const ParallelWindowEvaluator::Stats& stats = evaluator->stats();
-  best.parallel_windows = stats.windows;
-  best.parallel_drawn = stats.drawn;
-  best.parallel_wasted = stats.wasted;
 }
 
 }  // namespace
@@ -353,11 +237,7 @@ AnnealResult anneal(const Instance& inst, const AnnealOptions& options) {
   CostModel model(inst, options);
   SequencePair current = SequencePair::random(inst.blocks.size(), rng);
 
-  if (options.pack_engine == PackEngine::kParallel) {
-    run_parallel_window(inst, options, model, current, rng, best);
-  } else {
-    run_serial_loop(inst, options, model, current, rng, best);
-  }
+  run_serial_loop(inst, options, model, current, rng, best);
 
   placement_cost(inst, best.placement, options, &best.area,
                  &best.wirelength, &best.throughput);
@@ -407,8 +287,6 @@ AnnealResult anneal_parallel(const Instance& inst,
       // state, mutation trail and certificate are all worker-local.
       engine = options.engine_factory();
       per_restart.throughput_engine = engine.get();
-    } else if (options.throughput_factory) {
-      per_restart.throughput_fn = options.throughput_factory();
     }
     results[i] = anneal(inst, per_restart);
   });

@@ -51,32 +51,14 @@ struct AnnealOptions {
   double initial_temperature = 1.0;
   double cooling = 0.9995;       ///< geometric cooling per iteration
   std::uint64_t seed = 42;
-  /// Packing implementation for the move loop. All engines yield
+  /// Packing implementation for the move loop. Both engines yield
   /// bit-identical placements (and therefore identical annealing
   /// trajectories under a fixed seed): kNaive re-runs the O(n²) relaxation
-  /// per move and stays the differential oracle, kFast delta-evaluates
-  /// moves with the IncrementalPacker, kBatched (the default) runs the
-  /// speculative BatchedMoveEvaluator — windows of candidates share one
-  /// pinned baseline, rejected candidates cost O(dirty·polylog n) via the
-  /// persistent dominance index — and kParallel fans each speculation
-  /// window's candidate evaluations across a thread pool
-  /// (ParallelWindowEvaluator) while retiring acceptances serially, so
-  /// the trajectory stays bit-identical at every thread count.
+  /// per move and stays the differential oracle, kBatched (the default)
+  /// runs the speculative BatchedMoveEvaluator — windows of candidates
+  /// share one pinned baseline, rejected candidates cost
+  /// O(dirty·polylog n) via the persistent dominance index.
   PackEngine pack_engine = PackEngine::kBatched;
-  /// Speculation-window cap K for kBatched (BatchOptions::batch_size):
-  /// how many candidates may share one baseline before the window closes.
-  /// Trajectory-invariant — K only moves cost, never results.
-  std::size_t speculation_batch = 8;
-  /// kParallel only: pool the window evaluations fan over; nullptr uses
-  /// ThreadPool::shared(). When the anneal itself already runs on a worker
-  /// of this pool (anneal_parallel restarts, pooled ensembles), the
-  /// fan-out degrades to inline evaluation on that worker — correct and
-  /// deterministic, the outer parallelism owns the cores.
-  wp::ThreadPool* eval_pool = nullptr;
-  /// kParallel only: speculation-window size K per fan-out; 0 auto-scales
-  /// to twice the pool width. Trajectory-invariant — K moves the
-  /// speculation-efficiency/parallelism trade, never results.
-  std::size_t parallel_window = 0;
 };
 
 struct AnnealResult {
@@ -85,7 +67,9 @@ struct AnnealResult {
   double cost = 0;
   double area = 0;
   double wirelength = 0;
-  double throughput = 1.0;  ///< only meaningful when throughput_fn is set
+  /// System throughput of the best placement; 1.0 unless
+  /// weight_throughput > 0 (throughput_engine or throughput_fn queried).
+  double throughput = 1.0;
   int accepted_moves = 0;
   int evaluations = 0;
   /// Full throughput-oracle calls vs. demands served from the memo cache;
@@ -100,8 +84,8 @@ struct AnnealResult {
   /// queries the run issued.
   std::uint64_t engine_incremental = 0;
   std::uint64_t engine_fallbacks = 0;
-  /// BatchedMoveEvaluator path counters for this run (zeros for the other
-  /// engines): candidates served by the persistent dominance index vs the
+  /// BatchedMoveEvaluator path counters for this run (zeros under kNaive):
+  /// candidates served by the persistent dominance index vs the
   /// incrementally-primed shared Fenwick trees vs full repacks, dominance
   /// rebuilds paid, and the Γ− prime positions the batched paths skipped
   /// relative to a per-candidate from-scratch prime.
@@ -110,16 +94,6 @@ struct AnnealResult {
   std::uint64_t batch_full_packs = 0;
   std::uint64_t batch_index_rebuilds = 0;
   std::uint64_t batch_reprime_saved = 0;
-  /// ParallelWindowEvaluator accounting for this run (zeros for the other
-  /// engines): windows fanned, candidates evaluated past the commit point
-  /// (speculation the serial trajectory never consumed — the wasted-work
-  /// price of the parallel fan-out). Deterministic in (instance, seed, K);
-  /// independent of the thread count, so cross-thread-count equality
-  /// tests may compare them. parallel_drawn - parallel_wasted ==
-  /// evaluations always holds.
-  std::uint64_t parallel_windows = 0;
-  std::uint64_t parallel_drawn = 0;
-  std::uint64_t parallel_wasted = 0;
   /// Wall-clock breakdown (informational, never compared): time inside
   /// packing calls and inside the throughput oracle, for the bench
   /// tables/JSON showing each stage's share of the anneal.
@@ -135,18 +109,15 @@ struct ParallelAnnealOptions {
   /// Options shared by every restart. Restart i runs with seed
   /// `base.seed + i`, so the restart set is reproducible from one master
   /// seed and matches the equivalent sequential best-of loop exactly.
+  /// Each restart runs on its own copy of `base`, so a stateful
+  /// throughput_fn held by value (graph::ThroughputEvaluator) is
+  /// duplicated per restart, never shared across worker threads.
   AnnealOptions base;
   int restarts = 8;
   /// Pool to fan the restarts over; nullptr uses ThreadPool::shared().
   ThreadPool* pool = nullptr;
-  /// When set, called once per restart to build a private throughput
-  /// oracle, overriding base.throughput_fn. Required for stateful oracles
-  /// (e.g. graph::ThroughputEvaluator with its warm-started Howard policy),
-  /// which must not be shared across worker threads.
-  std::function<ThroughputFn()> throughput_factory;
   /// When set, called once per restart to build that restart's private
-  /// incremental throughput engine (overrides base.throughput_engine and
-  /// throughput_factory). The engine lives for the duration of the
+  /// incremental throughput engine (overrides base.throughput_engine). The engine lives for the duration of the
   /// restart; its counters land in the restart's AnnealResult.
   std::function<std::unique_ptr<graph::ThroughputEngine>()> engine_factory;
 };

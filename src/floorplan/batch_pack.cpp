@@ -11,8 +11,8 @@ namespace wp::fplan {
 namespace {
 
 /// pack/batch/* counters. Candidates run millions of times per anneal, so
-/// the record path is one relaxed fetch_add per event — same discipline as
-/// PackMetrics in pack_engine.cpp.
+/// the record path is one relaxed fetch_add per event — no locks, no
+/// registry lookups after the first call.
 struct BatchMetrics {
   obs::Counter& candidates;
   obs::Counter& commits;
@@ -40,9 +40,10 @@ struct BatchMetrics {
   }
 };
 
-/// Fused two-axis full relaxation — the same recurrence as pack_engine's
-/// evaluate_pass with from = 0, used for baselines and the fallback full
-/// repack. One walk over Γ− drives both axis trees (the per-position
+/// Fused two-axis full relaxation — the O(n log n) weighted-LCS
+/// evaluation (blocks in Γ− order, a Fenwick tree of prefix maxima keyed by
+/// Γ+ position answering the max-over-predecessors query), used for
+/// baselines and the fallback full repack. One walk over Γ− drives both axis trees (the per-position
 /// block/key lookups are shared), `widths`/`heights` are flat per-block
 /// extent arrays (Block structs carry a name string, so walking them
 /// trashes the hot loop's locality), and the bounding box falls out of
@@ -244,7 +245,7 @@ void BatchedMoveEvaluator::reset(const SequencePair& sp) {
 std::size_t BatchedMoveEvaluator::first_dirty_position(
     const AppliedMove& move) const {
   if (move.i == move.j) return n_;
-  // Tighter than IncrementalPacker's span scan. Packing processes blocks
+  // Tighter than a Γ+ span scan. Packing processes blocks
   // in Γ− order, each with key pos_p[block]; a Γ+ swap changes the keys of
   // exactly the two swapped blocks, so every Γ− position before the
   // earlier of THEIR Γ− positions processes an unchanged (block, key)
@@ -369,8 +370,8 @@ void BatchedMoveEvaluator::rebuild_index() {
 }
 
 void BatchedMoveEvaluator::ensure_primed(std::size_t from) {
-  // Serial cost to compare against: an IncrementalPacker primes [0, from)
-  // from scratch for every candidate. Here the shared trees stay primed
+  // Cost to compare against: a one-move packer primes [0, from) from
+  // scratch for every candidate. Here the shared trees stay primed
   // across the window and only the |primed_to_ − from| delta is paid.
   if (primed_to_ >= from) {
     if (primed_to_ > from) {

@@ -1,10 +1,11 @@
 // Batched speculative packing: sub-linear candidate evaluation for the
 // annealer's move loop.
 //
-// The IncrementalPacker (pack_engine.hpp) made a move O(n log n) instead of
-// O(n²), but every candidate still re-primes a Fenwick tree over the clean
-// Γ− prefix — for a *rejected* move that prefix work is pure waste, and at
-// annealing temperatures where most moves are rejected it dominates.
+// A Fenwick tree of prefix maxima over Γ+ positions (pack_engine.hpp) makes
+// a move O(n log n) instead of naive pack()'s O(n²), but a one-move packer
+// still re-primes that tree over the clean Γ− prefix for every candidate —
+// for a *rejected* move that prefix work is pure waste, and at annealing
+// temperatures where most moves are rejected it dominates.
 // BatchedMoveEvaluator removes it two ways, both pinned to the same law as
 // everything else in this stack: placements bitwise equal to naive pack().
 //
@@ -38,8 +39,7 @@
 //
 // Path selection per candidate (all bit-identical, purely a cost trade):
 //   - dirty == 0 (degenerate i == j move): nothing to do;
-//   - dirty > fallback_fraction·n: full repack (same trade as
-//     IncrementalPacker);
+//   - dirty > fallback_fraction·n: full repack;
 //   - index fresh and dirty ≤ persistent_fraction·n: persistent path —
 //     dominance-index queries + a small local Fenwick over the dirty
 //     suffix only;
@@ -115,13 +115,12 @@ struct BatchOptions {
   /// before the window is closed (and a stale dominance index rebuilt).
   std::size_t batch_size = 8;
   /// Dirty-suffix share of n above which a candidate takes the full-repack
-  /// path (same trade as IncrementalPacker::fallback_fraction, but tuned
-  /// much lower: the fused two-axis full pass is a sequential kernel at
+  /// path. Tuned low: the fused two-axis full pass is a sequential kernel at
   /// ~n·30ns, while a suffix evaluation pays the shared-prime delta plus
   /// ~100ns per dirty position — measured crossover near dirty ≈ 0.2n.
   /// Under uniform global swaps most candidates dirty most of the suffix,
   /// so the full pass is the common case and the suffix machinery earns
-  /// its keep on the minority of prefix-preserving moves).
+  /// its keep on the minority of prefix-preserving moves.
   double fallback_fraction = 0.15;
   /// Dirty-suffix share of n up to which a fresh dominance index is
   /// preferred over the incrementally-primed shared Fenwick trees. The
@@ -131,8 +130,10 @@ struct BatchOptions {
   double persistent_fraction = 0.05;
 };
 
-/// Speculative per-move packing against a pinned baseline. Usage mirrors
-/// IncrementalPacker, with an explicit commit for accepted moves:
+/// Speculative per-move packing against a pinned baseline. Mirrors the
+/// caller's SequencePair internally, so the caller keeps using
+/// random_move()/undo_move() on its own copy and forwards each AppliedMove
+/// here, with an explicit commit for accepted moves:
 ///
 ///   BatchedMoveEvaluator eval(inst, sp);
 ///   AppliedMove move = random_move(sp, rng);
@@ -141,9 +142,8 @@ struct BatchOptions {
 ///   ... reject: undo_move(sp, move); eval.revert();   // baseline kept
 ///
 /// apply() while a candidate is pending commits it first (the annealer
-/// moving on *is* acceptance — the same implicit-accept ergonomics as
-/// IncrementalPacker's apply-after-apply). commit()/revert() without a
-/// pending candidate die loudly.
+/// moving on *is* acceptance). commit()/revert() without a pending
+/// candidate die loudly.
 class BatchedMoveEvaluator {
  public:
   explicit BatchedMoveEvaluator(const Instance& inst, const SequencePair& sp,
@@ -191,7 +191,7 @@ class BatchedMoveEvaluator {
     std::uint64_t full_packs = 0;        ///< fallback full repacks
     std::uint64_t index_rebuilds = 0;    ///< dominance-index builds
     /// Γ− prime positions *not* re-primed thanks to incremental prime
-    /// maintenance and the dominance index (vs an IncrementalPacker that
+    /// maintenance and the dominance index (vs a one-move packer that
     /// primes [0, from) from scratch every candidate).
     std::uint64_t reprime_positions_saved = 0;
   };

@@ -1,36 +1,39 @@
-// Fast sequence-pair packing engine: the O(n log n) weighted-LCS
-// evaluation of Tang/Wong (match-position arrays + a Fenwick tree of
-// prefix maxima over Γ+ positions) and an incremental re-evaluator that
-// delta-packs annealing moves by recomputing only the dirty Γ− suffix.
+// Packing-engine selection and the shared Fenwick primitive.
 //
-// Bit-identity contract: both pack_fast() and IncrementalPacker produce
-// Placements bitwise equal to the naive O(n²) pack(). The naive relaxation
-// computes each coordinate as a max over a candidate set of x[a]+w[a]
-// (resp. y[a]+h[a]) terms; the fast paths take the max over exactly the
-// same set of exactly the same double terms, and IEEE max is associative
-// and commutative, so evaluation order cannot change the result. The
-// differential suite (tests/test_pack_equivalence.cpp) enforces this.
+// The annealer runs one of two engines: naive pack() (sequence_pair.cpp),
+// the O(n²) relaxation kept as the differential-testing oracle, and the
+// BatchedMoveEvaluator (batch_pack.hpp), which delta-evaluates moves in
+// O(n log n) or better with a Fenwick tree of prefix maxima over Γ+
+// positions (the weighted-LCS formulation of Tang/Wong).
+//
+// Bit-identity contract: the batched evaluator produces Placements bitwise
+// equal to pack(). The naive relaxation computes each coordinate as a max
+// over a candidate set of x[a]+w[a] (resp. y[a]+h[a]) terms; the batched
+// paths take the max over exactly the same set of exactly the same double
+// terms, and IEEE max is associative and commutative, so evaluation order
+// cannot change the result. The differential suite
+// (tests/test_pack_equivalence.cpp) enforces this.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "floorplan/model.hpp"
-#include "floorplan/sequence_pair.hpp"
-
 namespace wp::fplan {
 
 /// Which packing implementation the annealer (and everything layered on
-/// it) uses. All engines produce bitwise-identical placements; kNaive is
-/// the O(n²) reference kept as the differential-testing oracle, kFast the
-/// per-move O(n log n) IncrementalPacker, kBatched the speculative
-/// BatchedMoveEvaluator (batch_pack.hpp) that amortizes the clean-prefix
-/// work across a window of candidate moves against one pinned baseline,
-/// and kParallel the ParallelWindowEvaluator (parallel_pack.hpp) that
-/// additionally fans the window's candidate evaluations across a
-/// ThreadPool — same trajectory, more cores.
-enum class PackEngine { kNaive, kFast, kBatched, kParallel };
+/// it) uses. Both engines produce bitwise-identical placements: kNaive is
+/// the O(n²) reference kept as the differential-testing oracle, kBatched
+/// the speculative BatchedMoveEvaluator (batch_pack.hpp) that amortizes
+/// the clean-prefix work across a window of candidate moves against one
+/// pinned baseline. The values cross the wire (eval::AnnealKnobs), so a
+/// retired engine's number stays reserved and is never reused.
+enum class PackEngine {
+  kNaive = 0,
+  /* 1 was kFast, retired */
+  kBatched = 2,
+  /* 3 was kParallel, retired */
+};
 
 const char* pack_engine_name(PackEngine engine);
 
@@ -79,101 +82,5 @@ class MaxFenwick {
 };
 
 }  // namespace detail
-
-/// Packs the sequence pair in O(n log n): blocks are processed in Γ− order
-/// while a Fenwick tree keyed by Γ+ position answers the
-/// max-over-predecessors query of the weighted longest-common-subsequence
-/// formulation. Bitwise identical to pack().
-Placement pack_fast(const Instance& inst, const SequencePair& sp);
-
-/// Keeps a packed placement in sync with an annealer's sequence pair by
-/// delta-evaluating each SpMove: only the Γ− suffix whose constraints (or
-/// upstream coordinates) could have changed is recomputed, with an exact
-/// fallback to a full O(n log n) repack when the dirty region covers most
-/// of the instance. Mirrors the caller's SequencePair internally, so the
-/// caller keeps using random_move()/undo_move() on its own copy and
-/// forwards each AppliedMove here.
-///
-/// Cost honesty: the delta path here still re-primes the Fenwick tree over
-/// the clean Γ− prefix, so a move costs O(n log n) like a full repack — the
-/// delta machinery buys a smaller constant (coordinate writes, change
-/// trail and revert() touch only the dirty suffix) on top of the
-/// engine's real win, which is O(n log n) vs the naive O(n²) relaxation
-/// per move (~8–10× at 100–150 blocks, see bench_floorplan_flow).
-/// The sub-linear round lives in batch_pack.hpp: BatchedMoveEvaluator pins
-/// a baseline per speculation window and answers the clean-prefix query
-/// from a persistent 2D dominance index over (Γ−, Γ+) positions
-/// (O(dirty·log² n) per rejected candidate, no re-prime at all), falling
-/// back to a shared incrementally-primed tree (update_logged/rewind) when
-/// the index is stale and to a full repack when the dirty suffix covers
-/// most of the instance. This class remains the simple one-move engine and
-/// the reference the batched paths are differentially tested against.
-///
-/// Usage (one outstanding move at a time, the annealer's shape):
-///   IncrementalPacker packer(inst, sp);
-///   AppliedMove move = random_move(sp, rng);
-///   const Placement& candidate = packer.apply(move);
-///   ... accept: keep going; reject: undo_move(sp, move); packer.revert();
-class IncrementalPacker {
- public:
-  /// `fallback_fraction` is the dirty-suffix share of n above which apply()
-  /// abandons the delta path and repacks fully (still bit-identical; purely
-  /// a cost trade). 0 forces every move through the full repack, 1 forces
-  /// every move through the delta path.
-  explicit IncrementalPacker(const Instance& inst, const SequencePair& sp,
-                             double fallback_fraction = 0.75);
-
-  const Placement& placement() const { return placement_; }
-  const SequencePair& sequence_pair() const { return sp_; }
-
-  /// Applies `move` to the internal sequence-pair mirror and re-evaluates
-  /// the affected region. The caller must have applied the same move to its
-  /// own SequencePair (random_move already did).
-  const Placement& apply(const AppliedMove& move);
-
-  /// Reverts the most recent apply() — one level deep, matching the
-  /// annealer's accept/reject shape. The caller must have undone the move
-  /// on its own SequencePair (undo_move).
-  void revert();
-
-  /// Full resynchronisation to an arbitrary sequence pair.
-  void reset(const SequencePair& sp);
-
-  /// Evaluation-path counters (bench/test introspection).
-  std::size_t delta_packs() const { return delta_packs_; }
-  std::size_t full_packs() const { return full_packs_; }
-
- private:
-  void evaluate_full();
-  void evaluate_suffix(std::size_t from);
-  void refresh_bounding_box();
-  std::size_t first_dirty_position(const AppliedMove& move) const;
-  void apply_to_mirror(const AppliedMove& move);
-
-  const Instance* inst_;
-  std::size_t n_ = 0;
-  double fallback_fraction_;
-  SequencePair sp_;                 ///< mirror of the caller's pair
-  std::vector<std::size_t> pos_p_;  ///< block -> position in Γ+
-  std::vector<std::size_t> pos_n_;  ///< block -> position in Γ−
-  Placement placement_;
-  detail::MaxFenwick fenwick_;
-
-  /// One-deep undo trail for revert().
-  struct Trail {
-    AppliedMove move;
-    bool full = false;
-    std::vector<double> x_full, y_full;                      ///< full path
-    std::vector<std::pair<std::size_t, double>> x_delta;     ///< (block, old)
-    std::vector<std::pair<std::size_t, double>> y_delta;
-    double width = 0.0;
-    double height = 0.0;
-  };
-  Trail trail_;
-  bool can_revert_ = false;
-
-  std::size_t delta_packs_ = 0;
-  std::size_t full_packs_ = 0;
-};
 
 }  // namespace wp::fplan

@@ -185,9 +185,8 @@ struct SampleJob {
 /// regular NoC fabric) families with per-family anneal budgets and
 /// diameter-scaled simulation horizons — BA diameters grow ~log n so
 /// horizons stay nearly flat, mesh diameters grow as rows+cols so the
-/// 32×32 fabric gets the long horizon it needs. These are the instances
-/// PackEngine::kParallel exists for, and the substrate the trace-informed
-/// demand work will stress.
+/// 32×32 fabric gets the long horizon it needs. These are the substrate
+/// the trace-informed demand work will stress.
 std::vector<FamilySpec> scale_family_specs();
 
 /// The arithmetic per-sample seed: keyed on the family *name* (not index)

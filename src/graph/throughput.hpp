@@ -53,7 +53,12 @@ double predicted_wp1_throughput(const Digraph& g);
 /// paths now run graph::ThroughputEngine (throughput_engine.hpp), which is
 /// bit-identical and applies demands as incremental in-place deltas with a
 /// lazily repaired certificate. tests/test_throughput_engine.cpp holds the
-/// two together.
+/// two together. It stays because a fresh Howard solve per query is too
+/// slow to serve as the CI reference: replaying bench_floorplan_flow's
+/// throughput-driven anneals (4000 iterations) with a fresh-Howard
+/// throughput_fn gave bit-identical trajectories but took 45 s at 100
+/// blocks and 225 s at 150, against 6.7 s and 18 s through this evaluator
+/// (4-core x86-64 host, g++ 12.2, Release).
 ///
 /// Returns exactly min_cycle_ratio over the configured graph (Howard is
 /// certified and falls back to the parametric search when the certificate

@@ -84,8 +84,7 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body,
-                              std::size_t grain) {
+                              const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
   if (t_current_pool == this) {
     // Already on one of our own workers: blocking on chunk futures could
@@ -95,15 +94,10 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     return;
   }
   const std::size_t count = end - begin;
-  // grain == 0: a few chunks per worker so uneven per-index costs still
-  // balance, while keeping dispatch overhead negligible for coarse tasks.
-  // grain > 0: the caller asked for the deterministic fixed-size partition
-  // (see header) — honour it exactly, even when it undersubscribes the
-  // workers.
-  const std::size_t chunks =
-      grain > 0 ? (count + grain - 1) / grain : std::min(count, size() * 4);
-  const std::size_t chunk_size =
-      grain > 0 ? grain : (count + chunks - 1) / chunks;
+  // A few chunks per worker so uneven per-index costs still balance, while
+  // keeping dispatch overhead negligible for coarse tasks.
+  const std::size_t chunks = std::min(count, size() * 4);
+  const std::size_t chunk_size = (count + chunks - 1) / chunks;
 
   std::vector<std::future<void>> pending;
   pending.reserve(chunks);

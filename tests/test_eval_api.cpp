@@ -1,6 +1,8 @@
 // EvalRequest/EvalReply API suite: wire primitive round trips and
 // truncation behavior, per-kind request/reply serialize→deserialize
-// identity, content-hash stability, the inline-program wire guard, the
+// identity, content-hash stability (a default FloorplanJob's wire image
+// pinned), rejection of retired pack-engine tags, the inline-program wire
+// guard, the
 // adapter guarantee (proc::run_experiment / simulate_wp2_throughput /
 // ParallelSweep rows are bit-identical to direct SimOracle calls), error
 // containment in eval::evaluate, and the prefix-hash golden-trace mode
@@ -198,6 +200,59 @@ TEST(EvalRequestWire, ForeignVersionRejected) {
   bytes[0] = static_cast<char>(kEvalVersion + 1);
   wire::Reader r(bytes);
   EXPECT_THROW(EvalRequest::decode(r), wire::WireError);
+}
+
+TEST(EvalRequestWire, OnlyLivePackEngineTagsDecode) {
+  // The pack-engine byte is fplan::PackEngine's number. The numbers of
+  // retired engines (1 and 3) stay reserved: they, and every tag no engine
+  // ever had, decode to a WireError, which the server answers with a typed
+  // kMalformedRequest.
+  EvalRequest naive = sample_floorplan_request();
+  naive.floorplan.anneal.pack_engine = fplan::PackEngine::kNaive;
+  const std::string naive_bytes = encoded(naive);
+  const std::string batched_bytes = encoded(sample_floorplan_request());
+  ASSERT_EQ(naive_bytes.size(), batched_bytes.size());
+  std::size_t tag_at = naive_bytes.size();
+  for (std::size_t i = 0; i < naive_bytes.size(); ++i) {
+    if (naive_bytes[i] == batched_bytes[i]) continue;
+    ASSERT_EQ(tag_at, naive_bytes.size()) << "more than one byte differs";
+    tag_at = i;
+  }
+  ASSERT_LT(tag_at, naive_bytes.size());
+  for (int tag = 0; tag <= 255; ++tag) {
+    std::string bytes = naive_bytes;
+    bytes[tag_at] = static_cast<char>(tag);
+    wire::Reader r(bytes);
+    if (tag == 0 || tag == 2) {
+      const EvalRequest decoded = EvalRequest::decode(r);
+      EXPECT_EQ(static_cast<int>(decoded.floorplan.anneal.pack_engine), tag);
+      EXPECT_EQ(encoded(decoded), bytes);
+    } else {
+      EXPECT_THROW(EvalRequest::decode(r), wire::WireError) << "tag " << tag;
+    }
+  }
+}
+
+TEST(EvalRequestWire, DefaultFloorplanJobEncodingIsPinned) {
+  // Retiring pack engines left the v2 layout alone: a default (kBatched)
+  // FloorplanJob keeps its wire image and its content hash, so caches
+  // keyed on either stay valid across the change.
+  const EvalRequest request{FloorplanJob{}};
+  std::string hex;
+  for (const char c : encoded(request)) {
+    static const char kDigits[] = "0123456789abcdef";
+    const auto byte = static_cast<unsigned char>(c);
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "0203032000000003000000333333333333d33f0102000000040000009a9999"
+            "999999b93f00000000000000000004000000666666666666d63fb81e85eb51"
+            "b89e3f0300000067656e000000000000e03f00000000000018400000000000"
+            "00e03f000000000000004004000000010100000000000000000000000000f0"
+            "3f9a9999999999b93f00000000000000000000000000c06240000000000040"
+            "7f40204e0000000000000000f03f96438b6ce7fbef3f2a0000000000000002");
+  EXPECT_EQ(request.content_hash(), 0xf54555bfefff3036ULL);
 }
 
 TEST(EvalRequestWire, TruncatedRequestRejected) {

@@ -1,16 +1,15 @@
-// Differential guardrail for the fast packing engines: pack_fast(),
-// IncrementalPacker and BatchedMoveEvaluator must be *bitwise* identical
-// to the naive O(n²) pack() on randomized instances across sizes,
-// including through long randomized move/undo chains, across the
-// delta-vs-full-repack fallback paths, and across every batched
-// evaluation path (persistent dominance index / incremental shared prime
-// / full repack) and window size K. Also pins down the move involution
-// invariants (apply+undo restores both permutations for every SpMove
-// kind, i == j degenerate cases included), the exactness of the batched
-// evaluator's dirty-block reports, and the engine-independence of the
-// annealer: naive, fast and batched runs of the same seed produce
-// the same trajectory, serial and pooled restarts the same best, and the
-// ensemble pipeline the same samples.
+// Differential guardrail for the batched packing engine: the
+// BatchedMoveEvaluator must be *bitwise* identical to the naive O(n²)
+// pack() on randomized instances across sizes, including through long
+// randomized move/undo chains, across the delta-vs-full-repack fallback
+// paths, and across every batched evaluation path (persistent dominance
+// index / incremental shared prime / full repack) and window size K. Also
+// pins down the move involution invariants (apply+undo restores both
+// permutations for every SpMove kind, i == j degenerate cases included),
+// the exactness of the batched evaluator's dirty-block reports, and the
+// engine-independence of the annealer: naive and batched runs of the same
+// seed produce the same trajectory, serial and pooled restarts the same
+// best, and the ensemble pipeline the same samples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,14 +63,18 @@ Instance instance_of(std::size_t n, std::uint64_t seed) {
 
 class PackEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
+// The O(n log n) full pass every batched baseline starts from (reset()
+// runs it on an arbitrary pair), over many random pairs per size.
 TEST_P(PackEquivalence, FastMatchesNaiveOnRandomSequencePairs) {
   const std::size_t n = GetParam();
   const Instance inst = instance_of(n, 31 * n + 1);
   wp::Rng rng(1000 + n);
+  BatchedMoveEvaluator evaluator(inst, SequencePair::identity(n));
   const int rounds = n >= 100 ? 40 : 200;
   for (int round = 0; round < rounds; ++round) {
     const SequencePair sp = SequencePair::random(n, rng);
-    ASSERT_TRUE(placements_identical(pack_fast(inst, sp), pack(inst, sp)))
+    evaluator.reset(sp);
+    ASSERT_TRUE(placements_identical(evaluator.placement(), pack(inst, sp)))
         << "n=" << n << " round " << round;
   }
 }
@@ -81,8 +84,8 @@ TEST_P(PackEquivalence, IncrementalConstructionMatchesNaive) {
   const Instance inst = instance_of(n, 17 * n + 3);
   wp::Rng rng(2000 + n);
   const SequencePair sp = SequencePair::random(n, rng);
-  const IncrementalPacker packer(inst, sp);
-  ASSERT_TRUE(placements_identical(packer.placement(), pack(inst, sp)));
+  const BatchedMoveEvaluator evaluator(inst, sp);
+  ASSERT_TRUE(placements_identical(evaluator.placement(), pack(inst, sp)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PackEquivalence,
@@ -92,109 +95,48 @@ TEST(PackEquivalence, FastMatchesNaiveOnStructuredPairs) {
   const Instance inst = cpu_instance();
   const std::size_t n = inst.blocks.size();
   SequencePair identity = SequencePair::identity(n);
-  ASSERT_TRUE(
-      placements_identical(pack_fast(inst, identity), pack(inst, identity)));
+  ASSERT_TRUE(placements_identical(
+      BatchedMoveEvaluator(inst, identity).placement(), pack(inst, identity)));
   SequencePair stacked = identity;  // reversed Γ+: a vertical stack
   std::reverse(stacked.positive.begin(), stacked.positive.end());
-  ASSERT_TRUE(
-      placements_identical(pack_fast(inst, stacked), pack(inst, stacked)));
+  ASSERT_TRUE(placements_identical(
+      BatchedMoveEvaluator(inst, stacked).placement(), pack(inst, stacked)));
 }
 
 class IncrementalEquivalence : public ::testing::TestWithParam<std::size_t> {
 };
 
 TEST_P(IncrementalEquivalence, RandomMoveUndoChainsMatchNaive) {
+  // Half-reject chains with *implicit* acceptance: an accepted candidate is
+  // never commit()ed, the next apply() commits it.
   const std::size_t n = GetParam();
   const Instance inst = instance_of(n, 7 * n + 5);
   wp::Rng rng(3000 + n);
   SequencePair sp = SequencePair::random(n, rng);
-  IncrementalPacker packer(inst, sp);
+  BatchedMoveEvaluator evaluator(inst, sp);
   const int moves = n >= 100 ? 150 : 400;
   for (int m = 0; m < moves; ++m) {
     const AppliedMove move = random_move(sp, rng);
-    const Placement& candidate = packer.apply(move);
+    const Placement& candidate = evaluator.apply(move);
     ASSERT_TRUE(placements_identical(candidate, pack(inst, sp)))
         << "n=" << n << " move " << m << " kind "
         << static_cast<int>(move.kind) << " i=" << move.i << " j=" << move.j;
     if (rng.chance(0.5)) {  // reject path: undo + revert must restore
       undo_move(sp, move);
-      packer.revert();
-      ASSERT_TRUE(placements_identical(packer.placement(), pack(inst, sp)))
+      evaluator.revert();
+      ASSERT_TRUE(
+          placements_identical(evaluator.placement(), pack(inst, sp)))
           << "n=" << n << " after revert of move " << m;
-      ASSERT_EQ(packer.sequence_pair().positive, sp.positive);
-      ASSERT_EQ(packer.sequence_pair().negative, sp.negative);
+      ASSERT_EQ(evaluator.sequence_pair().positive, sp.positive);
+      ASSERT_EQ(evaluator.sequence_pair().negative, sp.negative);
     }
   }
-  EXPECT_GT(packer.delta_packs() + packer.full_packs(),
-            static_cast<std::size_t>(0));
+  EXPECT_EQ(evaluator.stats().candidates,
+            static_cast<std::uint64_t>(moves));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IncrementalEquivalence,
                          ::testing::Values<std::size_t>(2, 3, 8, 32, 128));
-
-TEST(IncrementalPacker, FallbackAndDeltaPathsAgree) {
-  const Instance inst = synthetic_instance(32, 9);
-  wp::Rng rng(11);
-  SequencePair sp = SequencePair::random(32, rng);
-  IncrementalPacker always_full(inst, sp, 0.0);
-  IncrementalPacker always_delta(inst, sp, 1.0);
-  for (int m = 0; m < 250; ++m) {
-    const AppliedMove move = random_move(sp, rng);
-    const Placement& via_full = always_full.apply(move);
-    const Placement& via_delta = always_delta.apply(move);
-    ASSERT_TRUE(placements_identical(via_full, via_delta)) << "move " << m;
-    if (rng.chance(0.3)) {
-      undo_move(sp, move);
-      always_full.revert();
-      always_delta.revert();
-      ASSERT_TRUE(placements_identical(always_full.placement(),
-                                       always_delta.placement()));
-    }
-  }
-  EXPECT_EQ(always_full.delta_packs(), 0u);
-  EXPECT_EQ(always_delta.full_packs(), 0u);
-}
-
-TEST(IncrementalPacker, DegenerateEqualIndexMovesAreNoOps) {
-  const Instance inst = synthetic_instance(8, 4);
-  wp::Rng rng(5);
-  const SequencePair sp = SequencePair::random(8, rng);
-  for (const SpMove kind :
-       {SpMove::kSwapPositive, SpMove::kSwapNegative, SpMove::kSwapBoth}) {
-    IncrementalPacker packer(inst, sp);
-    const Placement before = packer.placement();
-    const AppliedMove degenerate{kind, 3, 3};
-    ASSERT_TRUE(placements_identical(packer.apply(degenerate), before));
-    EXPECT_EQ(packer.sequence_pair().positive, sp.positive);
-    EXPECT_EQ(packer.sequence_pair().negative, sp.negative);
-    packer.revert();
-    ASSERT_TRUE(placements_identical(packer.placement(), before));
-  }
-}
-
-TEST(IncrementalPacker, ResetResynchronisesToArbitraryPairs) {
-  const Instance inst = synthetic_instance(12, 6);
-  wp::Rng rng(21);
-  SequencePair sp = SequencePair::random(12, rng);
-  IncrementalPacker packer(inst, sp);
-  for (int round = 0; round < 10; ++round) {
-    const SequencePair fresh = SequencePair::random(12, rng);
-    packer.reset(fresh);
-    ASSERT_TRUE(placements_identical(packer.placement(), pack(inst, fresh)));
-  }
-}
-
-TEST(IncrementalPacker, RejectsInvalidInput) {
-  const Instance inst = synthetic_instance(6, 2);
-  wp::Rng rng(3);
-  SequencePair sp = SequencePair::random(6, rng);
-  EXPECT_THROW(IncrementalPacker(inst, SequencePair::identity(4)),
-               wp::ContractViolation);
-  IncrementalPacker packer(inst, sp);
-  EXPECT_THROW(packer.revert(), wp::ContractViolation);  // nothing applied
-  EXPECT_THROW(packer.apply({SpMove::kSwapBoth, 0, 6}),
-               wp::ContractViolation);
-}
 
 // ----------------------------------------- batched speculative engine
 
@@ -301,8 +243,8 @@ TEST(BatchedMoveEvaluator, AllEvaluationPathsAgreeOnTheSameChain) {
 }
 
 TEST(BatchedMoveEvaluator, ImplicitCommitMatchesExplicitCommit) {
-  // apply() while a candidate is pending commits it — the same ergonomics
-  // IncrementalPacker's apply-after-apply has. An accept-every-move chain
+  // apply() while a candidate is pending commits it. An accept-every-move
+  // chain
   // driven that way must walk the same states as one with explicit
   // commit() calls, and both must track naive pack().
   const Instance inst = synthetic_instance(24, 41);
@@ -392,21 +334,6 @@ TEST(BatchedMoveEvaluator, MisuseDiesLoudly) {
   BatchOptions bad;
   bad.batch_size = 0;
   EXPECT_THROW(BatchedMoveEvaluator(inst, sp, bad), wp::ContractViolation);
-}
-
-TEST(IncrementalPacker, DoubleRevertDiesLoudly) {
-  // Pins the loud-failure contract: revert() is one level deep, and a
-  // second revert() without an intervening apply() must throw rather than
-  // silently corrupt the placement.
-  const Instance inst = synthetic_instance(10, 8);
-  wp::Rng rng(9);
-  SequencePair sp = SequencePair::random(10, rng);
-  IncrementalPacker packer(inst, sp);
-  const AppliedMove move = random_move(sp, rng);
-  packer.apply(move);
-  undo_move(sp, move);
-  packer.revert();
-  EXPECT_THROW(packer.revert(), wp::ContractViolation);
 }
 
 // ------------------------------------------------ dirty-block reports
@@ -539,21 +466,12 @@ TEST(AnnealerEngines, AreaDrivenRunsAreBitIdenticalAcrossEngines) {
   naive.iterations = 2500;
   naive.seed = 17;
   naive.pack_engine = PackEngine::kNaive;
-  AnnealOptions fast = naive;
-  fast.pack_engine = PackEngine::kFast;
-  const AnnealResult reference = anneal(inst, naive);
-  EXPECT_TRUE(identical_results(reference, anneal(inst, fast)));
-  // The batched engine must reproduce the serial naive trajectory exactly
-  // for every speculation-window size — K amortizes baseline work, it
-  // never reorders RNG draws or decisions.
-  for (const std::size_t k : {std::size_t{1}, std::size_t{4},
-                              std::size_t{16}}) {
-    AnnealOptions batched = naive;
-    batched.pack_engine = PackEngine::kBatched;
-    batched.speculation_batch = k;
-    EXPECT_TRUE(identical_results(reference, anneal(inst, batched)))
-        << "K=" << k;
-  }
+  AnnealOptions batched = naive;
+  batched.pack_engine = PackEngine::kBatched;
+  // The batched engine must reproduce the naive trajectory exactly; its
+  // window size K amortizes baseline work and never reorders RNG draws or
+  // decisions (BatchedEquivalence sweeps K directly).
+  EXPECT_TRUE(identical_results(anneal(inst, naive), anneal(inst, batched)));
 }
 
 TEST(AnnealerEngines, ThroughputDrivenRunsAreBitIdenticalAcrossEngines) {
@@ -566,15 +484,10 @@ TEST(AnnealerEngines, ThroughputDrivenRunsAreBitIdenticalAcrossEngines) {
   naive.delay_model.clock_ps = 300.0;
   naive.throughput_fn = wp::graph::ThroughputEvaluator(graph);
   naive.pack_engine = PackEngine::kNaive;
-  AnnealOptions fast = naive;
-  fast.throughput_fn = wp::graph::ThroughputEvaluator(graph);
-  fast.pack_engine = PackEngine::kFast;
   AnnealOptions batched = naive;
   batched.throughput_fn = wp::graph::ThroughputEvaluator(graph);
   batched.pack_engine = PackEngine::kBatched;
-  const AnnealResult reference = anneal(inst, naive);
-  EXPECT_TRUE(identical_results(reference, anneal(inst, fast)));
-  EXPECT_TRUE(identical_results(reference, anneal(inst, batched)));
+  EXPECT_TRUE(identical_results(anneal(inst, naive), anneal(inst, batched)));
 }
 
 TEST(AnnealerEngines, PooledRestartsMatchSerialForBothEngines) {
@@ -582,10 +495,9 @@ TEST(AnnealerEngines, PooledRestartsMatchSerialForBothEngines) {
   // for each engine, anneal_parallel must reproduce the sequential best-of
   // exactly, and the two engines must land on the same best.
   const Instance inst = synthetic_instance(12, 5);
-  AnnealResult best_per_engine[3];
+  AnnealResult best_per_engine[2];
   int engine_index = 0;
-  for (const PackEngine engine :
-       {PackEngine::kNaive, PackEngine::kFast, PackEngine::kBatched}) {
+  for (const PackEngine engine : {PackEngine::kNaive, PackEngine::kBatched}) {
     ParallelAnnealOptions job;
     job.base.iterations = 1200;
     job.base.seed = 100;
@@ -610,7 +522,6 @@ TEST(AnnealerEngines, PooledRestartsMatchSerialForBothEngines) {
     best_per_engine[engine_index++] = sequential;
   }
   EXPECT_TRUE(identical_results(best_per_engine[0], best_per_engine[1]));
-  EXPECT_TRUE(identical_results(best_per_engine[0], best_per_engine[2]));
 }
 
 TEST(AnnealerEngines, EnsemblePipelineIsEngineIndependent) {
@@ -630,16 +541,11 @@ TEST(AnnealerEngines, EnsemblePipelineIsEngineIndependent) {
 
   config.anneal.pack_engine = PackEngine::kNaive;
   const gen::EnsembleReport with_naive = gen::run_ensemble_sequential(config);
-  config.anneal.pack_engine = PackEngine::kFast;
-  const gen::EnsembleReport with_fast = gen::run_ensemble_sequential(config);
   config.anneal.pack_engine = PackEngine::kBatched;
   const gen::EnsembleReport with_batched =
       gen::run_ensemble_sequential(config);
-  ASSERT_EQ(with_naive.samples.size(), with_fast.samples.size());
   ASSERT_EQ(with_naive.samples.size(), with_batched.samples.size());
   for (std::size_t i = 0; i < with_naive.samples.size(); ++i) {
-    EXPECT_TRUE(with_naive.samples[i] == with_fast.samples[i])
-        << "sample " << i << " diverged between engines";
     EXPECT_TRUE(with_naive.samples[i] == with_batched.samples[i])
         << "sample " << i << " diverged between naive and batched";
   }

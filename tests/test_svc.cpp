@@ -2,11 +2,11 @@
 // of every framing violation (bad magic / foreign version / reserved bits
 // / oversize / checksum / trailing bytes), batch payload codecs, and an
 // in-process EvalServer driven over real AF_UNIX sockets — replies must
-// equal eval::evaluate_batch, a malformed payload must cost one kError
-// frame but not the connection, a framing violation must cost the
-// connection but never the server, seeded random byte blobs must never
-// crash it, and evaluate_sharded across two servers must merge back to
-// the single-process reply stream.
+// equal eval::evaluate_batch, a malformed payload (a retired pack-engine
+// tag included) must cost one kError frame but not the connection, a
+// framing violation must cost the connection but never the server, seeded
+// random byte blobs must never crash it, and evaluate_sharded across two
+// servers must merge back to the single-process reply stream.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -229,6 +229,46 @@ TEST(EvalServer, MalformedPayloadCostsOneErrorFrameNotTheConnection) {
   server.stop();
   EXPECT_EQ(server.stats().dropped_connections, 0u);
   EXPECT_GE(server.stats().error_frames, 1u);
+}
+
+TEST(EvalServer, RetiredPackEngineTagCostsOneErrorFrameNotTheConnection) {
+  // A well-framed batch — correct payload checksum, valid request layout —
+  // whose pack-engine tag names a retired engine (tag 3) must come back as
+  // a typed kMalformedRequest on a connection that keeps serving.
+  std::vector<eval::EvalRequest> naive = tiny_floorplan_batch(1);
+  naive[0].floorplan.anneal.pack_engine = fplan::PackEngine::kNaive;
+  std::string payload = encode_request_batch(naive);
+  const std::string batched = encode_request_batch(tiny_floorplan_batch(1));
+  ASSERT_EQ(payload.size(), batched.size());
+  std::size_t tag_bytes = 0;
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    if (payload[i] == batched[i]) continue;
+    payload[i] = 3;
+    ++tag_bytes;
+  }
+  ASSERT_EQ(tag_bytes, 1u);  // the engine tag is the only differing byte
+
+  EvalServer server(test_server_options());
+  server.start();
+  const int fd = raw_connect(server.socket_path());
+  write_frame(fd, FrameType::kEvalBatch, payload);
+  auto reply = read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(decode_error(reply->payload).code,
+            eval::ErrorCode::kMalformedRequest);
+
+  write_frame(fd, FrameType::kEvalBatch,
+              encode_request_batch(tiny_floorplan_batch(1)));
+  auto good = read_frame(fd);
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->type, FrameType::kReplyBatch);
+  EXPECT_EQ(decode_reply_batch(good->payload).size(), 1u);
+
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().dropped_connections, 0u);
+  EXPECT_EQ(server.stats().error_frames, 1u);
 }
 
 TEST(EvalServer, FramingViolationDropsOnlyThatConnection) {

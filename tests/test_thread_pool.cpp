@@ -82,71 +82,6 @@ TEST(ThreadPool, ParallelForRethrowsBodyException) {
   EXPECT_LE(completed.load(), 99);
 }
 
-TEST(ThreadPool, ParallelForGrainCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kBegin = 2, kEnd = 247;
-  for (const std::size_t grain :
-       {std::size_t{1}, std::size_t{3}, std::size_t{64}, std::size_t{500}}) {
-    std::vector<std::atomic<int>> hits(kEnd);
-    for (auto& h : hits) h.store(0);
-    pool.parallel_for(
-        kBegin, kEnd, [&hits](std::size_t i) { hits[i].fetch_add(1); },
-        grain);
-    for (std::size_t i = 0; i < kEnd; ++i)
-      EXPECT_EQ(hits[i].load(), i >= kBegin ? 1 : 0)
-          << "index " << i << ", grain " << grain;
-  }
-}
-
-TEST(ThreadPool, ParallelForGrainPartitionIsDeterministicAndExclusive) {
-  // The documented grain contract: index i belongs to chunk
-  // (i - begin) / grain, chunks are contiguous, and no two chunks overlap
-  // — so per-chunk scratch needs no synchronisation. Guard exactly that:
-  // each chunk's slot is entered by one thread at a time and its indices
-  // arrive in ascending order.
-  ThreadPool pool(4);
-  constexpr std::size_t kEnd = 120, kGrain = 7;
-  constexpr std::size_t kChunks = (kEnd + kGrain - 1) / kGrain;
-  std::vector<std::atomic<bool>> in_use(kChunks);
-  for (auto& f : in_use) f.store(false);
-  std::vector<std::vector<std::size_t>> seen(kChunks);
-  std::atomic<bool> overlapped{false};
-  pool.parallel_for(
-      0, kEnd,
-      [&](std::size_t i) {
-        const std::size_t chunk = i / kGrain;
-        if (in_use[chunk].exchange(true)) overlapped.store(true);
-        seen[chunk].push_back(i);  // safe iff the partition is exclusive
-        in_use[chunk].store(false);
-      },
-      kGrain);
-  EXPECT_FALSE(overlapped.load());
-  for (std::size_t c = 0; c < kChunks; ++c) {
-    const std::size_t lo = c * kGrain;
-    const std::size_t hi = std::min(kEnd, lo + kGrain);
-    ASSERT_EQ(seen[c].size(), hi - lo) << "chunk " << c;
-    for (std::size_t j = 0; j < seen[c].size(); ++j)
-      EXPECT_EQ(seen[c][j], lo + j) << "chunk " << c;
-  }
-}
-
-TEST(ThreadPool, ParallelForGrainRethrowsAndSkipsOnlyTheThrowingChunk) {
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(
-      pool.parallel_for(
-          0, 100,
-          [&completed](std::size_t i) {
-            if (i == 40) throw std::runtime_error("boom");
-            completed.fetch_add(1);
-          },
-          /*grain=*/10),
-      std::runtime_error);
-  // Chunks of exactly 10: the [40, 50) chunk stops at 40, every other
-  // chunk completes — 90 successful indices, deterministically.
-  EXPECT_EQ(completed.load(), 90);
-}
-
 TEST(ThreadPool, ManyConcurrentSubmitsAllExecute) {
   ThreadPool pool(8);
   std::atomic<int> sum{0};
