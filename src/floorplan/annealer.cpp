@@ -61,54 +61,66 @@ double combine_cost(const AnnealOptions& options, double area, double wl,
 
 /// Memoizing cost evaluator for one annealing run. Area and wirelength are
 /// cheap closed forms; the throughput term means a min-cycle-ratio solve,
-/// so demands are memoized by value. Most moves (accepted or rejected)
-/// leave the per-connection RS demand unchanged or revisit a recent one,
-/// which turns the hot path of a throughput-driven run into a hash lookup.
+/// so demands are memoized by value. The instance's connection labels are
+/// interned once per run: a move fills an int demand vector indexed by
+/// connection id, the memo is keyed by that vector, and the engine is
+/// queried by label id — no string is built on the per-move path. A
+/// throughput_fn gets its (label, count) pairs built on a memo miss only.
 class CostModel {
  public:
   CostModel(const Instance& inst, const AnnealOptions& options)
       : inst_(inst), options_(options),
         use_throughput_(options.weight_throughput > 0.0) {
-    if (use_throughput_) {
-      WP_REQUIRE(options_.throughput_engine != nullptr ||
-                     static_cast<bool>(options_.throughput_fn),
-                 "throughput weight set but neither throughput_engine nor "
-                 "throughput_fn provided");
-    }
+    if (!use_throughput_) return;
+    WP_REQUIRE(options_.throughput_engine != nullptr ||
+                   static_cast<bool>(options_.throughput_fn),
+               "throughput weight set but neither throughput_engine nor "
+               "throughput_fn provided");
+    table_.emplace(inst_);
+    if (options_.throughput_engine != nullptr)
+      engine_ids_ = options_.throughput_engine->resolve(table_->labels);
   }
 
   double cost(const Placement& placement, double wirelength,
               AnnealResult* stats) {
     double th = 1.0;
-    if (use_throughput_)
-      th = throughput(rs_demand(inst_, placement, options_.delay_model),
-                      stats);
+    if (use_throughput_) {
+      fill_rs_demand(inst_, *table_, placement, options_.delay_model,
+                     demand_);
+      th = throughput(stats);
+    }
     return combine_cost(options_, placement.area(), wirelength, th);
   }
 
  private:
-  double throughput(const std::vector<std::pair<std::string, int>>& demand,
-                    AnnealResult* stats) {
-    std::string key;
-    for (const auto& [label, rs] : demand) {
-      key += label;
-      key += ':';
-      key += std::to_string(rs);
-      key += ';';
+  /// FNV-1a over the demand's ints; the map's key equality makes the
+  /// lookup exact.
+  struct DemandHash {
+    std::size_t operator()(const std::vector<int>& demand) const {
+      std::uint64_t h = 1469598103934665603ULL;
+      for (const int rs : demand) {
+        h ^= static_cast<std::uint32_t>(rs);
+        h *= 1099511628211ULL;
+      }
+      return static_cast<std::size_t>(h);
     }
-    const auto it = cache_.find(key);
+  };
+
+  double throughput(AnnealResult* stats) {
+    const auto it = cache_.find(demand_);
     if (it != cache_.end()) {
       if (stats) ++stats->throughput_cache_hits;
       return it->second;
     }
     WP_SPAN("anneal/throughput");
     const auto oracle_start = Clock::now();
-    const double th = options_.throughput_engine != nullptr
-                          ? options_.throughput_engine->throughput(demand)
-                          : options_.throughput_fn(demand);
+    const double th =
+        options_.throughput_engine != nullptr
+            ? options_.throughput_engine->throughput(engine_ids_, demand_)
+            : options_.throughput_fn(labelled_demand(*table_, demand_));
     if (stats) stats->throughput_ms += ms_since(oracle_start);
     if (cache_.size() >= kMaxEntries) cache_.clear();
-    cache_.emplace(std::move(key), th);
+    cache_.emplace(demand_, th);
     if (stats) ++stats->throughput_evals;
     return th;
   }
@@ -118,7 +130,10 @@ class CostModel {
   const Instance& inst_;
   const AnnealOptions& options_;
   const bool use_throughput_;
-  std::unordered_map<std::string, double> cache_;
+  std::optional<ConnectionTable> table_;
+  std::vector<int> engine_ids_;  ///< connection id -> engine label id
+  std::vector<int> demand_;      ///< per-move demand, by connection id
+  std::unordered_map<std::vector<int>, double, DemandHash> cache_;
 };
 
 /// The move loop shared by kNaive and kBatched. The batched engine

@@ -1,7 +1,8 @@
 #include "floorplan/model.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
+#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -46,17 +47,52 @@ int relay_stations_for_length(double mm, const WireDelayModel& model) {
   return stages - 1;
 }
 
+ConnectionTable::ConnectionTable(const Instance& inst)
+    : net_connection(inst.nets.size()) {
+  std::vector<std::size_t> order(inst.nets.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return inst.nets[a].connection < inst.nets[b].connection;
+  });
+  for (const std::size_t net : order) {
+    const std::string& label = inst.nets[net].connection;
+    if (labels.empty() || labels.back() != label) labels.push_back(label);
+    net_connection[net] = static_cast<int>(labels.size()) - 1;
+  }
+}
+
+void fill_rs_demand(const Instance& inst, const ConnectionTable& table,
+                    const Placement& placement, const WireDelayModel& model,
+                    std::vector<int>& demand) {
+  WP_REQUIRE(table.net_connection.size() == inst.nets.size(),
+             "connection table built for another instance");
+  demand.assign(table.labels.size(), 0);
+  for (std::size_t i = 0; i < inst.nets.size(); ++i) {
+    const int rs = relay_stations_for_length(
+        net_length(inst, placement, inst.nets[i]), model);
+    int& slot = demand[static_cast<std::size_t>(table.net_connection[i])];
+    slot = std::max(slot, rs);
+  }
+}
+
+std::vector<std::pair<std::string, int>> labelled_demand(
+    const ConnectionTable& table, const std::vector<int>& demand) {
+  WP_REQUIRE(demand.size() == table.labels.size(),
+             "demand not indexed by this connection table");
+  std::vector<std::pair<std::string, int>> pairs;
+  pairs.reserve(demand.size());
+  for (std::size_t id = 0; id < demand.size(); ++id)
+    pairs.emplace_back(table.labels[id], demand[id]);
+  return pairs;
+}
+
 std::vector<std::pair<std::string, int>> rs_demand(
     const Instance& inst, const Placement& placement,
     const WireDelayModel& model) {
-  std::map<std::string, int> demand;
-  for (const auto& net : inst.nets) {
-    const int rs =
-        relay_stations_for_length(net_length(inst, placement, net), model);
-    auto [it, inserted] = demand.emplace(net.connection, rs);
-    if (!inserted) it->second = std::max(it->second, rs);
-  }
-  return {demand.begin(), demand.end()};
+  const ConnectionTable table(inst);
+  std::vector<int> demand;
+  fill_rs_demand(inst, table, placement, model, demand);
+  return labelled_demand(table, demand);
 }
 
 }  // namespace wp::fplan

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wp::fplan {
@@ -64,8 +65,32 @@ struct WireDelayModel {
 /// Relay stations needed by a wire of length `mm`.
 int relay_stations_for_length(double mm, const WireDelayModel& model);
 
-/// Per-connection relay-station demand of a placement: the max over the
-/// connection's nets of relay_stations_for_length().
+/// An instance's connection labels interned as dense ids, in sorted label
+/// order (the order rs_demand() reports them in). Built once per anneal so
+/// the per-move demand path touches no strings.
+struct ConnectionTable {
+  explicit ConnectionTable(const Instance& inst);
+
+  std::vector<std::string> labels;  ///< id -> label, ascending
+  std::vector<int> net_connection;  ///< net index -> connection id
+};
+
+/// Per-connection relay-station demand of a placement, indexed by
+/// connection id: the max over the connection's nets of
+/// relay_stations_for_length(). `demand` is resized to the table's size
+/// and reused across calls.
+void fill_rs_demand(const Instance& inst, const ConnectionTable& table,
+                    const Placement& placement, const WireDelayModel& model,
+                    std::vector<int>& demand);
+
+/// An id-indexed demand as (label, relay stations) pairs in ascending
+/// label order — the string form taken by ThroughputFn and the engine's
+/// label query.
+std::vector<std::pair<std::string, int>> labelled_demand(
+    const ConnectionTable& table, const std::vector<int>& demand);
+
+/// fill_rs_demand() as labelled pairs. Builds a ConnectionTable per call;
+/// hot loops keep their own and call fill_rs_demand().
 std::vector<std::pair<std::string, int>> rs_demand(
     const Instance& inst, const Placement& placement,
     const WireDelayModel& model);

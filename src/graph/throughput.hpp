@@ -58,7 +58,8 @@ double predicted_wp1_throughput(const Digraph& g);
 /// throughput-driven anneals (4000 iterations) with a fresh-Howard
 /// throughput_fn gave bit-identical trajectories but took 45 s at 100
 /// blocks and 225 s at 150, against 6.7 s and 18 s through this evaluator
-/// (4-core x86-64 host, g++ 12.2, Release).
+/// (4-core x86-64 host, g++ 12.2, Release; 4.4 s and 12.5 s there once the
+/// annealer's per-move demand path stopped building strings).
 ///
 /// Returns exactly min_cycle_ratio over the configured graph (Howard is
 /// certified and falls back to the parametric search when the certificate

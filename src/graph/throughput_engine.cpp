@@ -19,7 +19,6 @@ struct EngineMetrics {
   obs::Counter& cycle_hits;
   obs::Counter& warm_hits;
   obs::Counter& fallbacks;
-  obs::Counter& undos;
 
   static EngineMetrics& get() {
     obs::Registry& registry = obs::Registry::global();
@@ -29,8 +28,7 @@ struct EngineMetrics {
         registry.counter("graph/engine/acyclic"),
         registry.counter("graph/engine/cycle_hits"),
         registry.counter("graph/engine/warm_hits"),
-        registry.counter("graph/engine/fallbacks"),
-        registry.counter("graph/engine/undos")};
+        registry.counter("graph/engine/fallbacks")};
     return metrics;
   }
 };
@@ -45,7 +43,6 @@ ThroughputEngine::~ThroughputEngine() {
   metrics.cycle_hits.add(stats_.cycle_hits);
   metrics.warm_hits.add(stats_.warm_hits);
   metrics.fallbacks.add(stats_.fallbacks);
-  metrics.undos.add(stats_.undos);
 }
 
 ThroughputEngine::ThroughputEngine(Digraph base) : g_(std::move(base)) {
@@ -76,8 +73,8 @@ void ThroughputEngine::set_label_edges(std::size_t label,
   for (const EdgeId e : label_edges_[label]) {
     int& current = g_.edge(e).relay_stations;
     if (current != relay_stations) {
-      trail_.push_back({e, current});
       current = relay_stations;
+      changed_ = true;
     }
     if (base_rs_[static_cast<std::size_t>(e)] != relay_stations) dirty = true;
   }
@@ -89,57 +86,58 @@ void ThroughputEngine::revert_label_to_base(std::size_t label) {
     int& current = g_.edge(e).relay_stations;
     const int base = base_rs_[static_cast<std::size_t>(e)];
     if (current != base) {
-      trail_.push_back({e, current});
       current = base;
+      changed_ = true;
     }
   }
   label_dirty_[label] = 0;
 }
 
+int ThroughputEngine::label_id(const std::string& label) const {
+  const auto it = label_ids_.find(label);
+  return it == label_ids_.end() ? -1 : static_cast<int>(it->second);
+}
+
+std::vector<int> ThroughputEngine::resolve(
+    const std::vector<std::string>& labels) const {
+  std::vector<int> ids;
+  ids.reserve(labels.size());
+  for (const std::string& label : labels) ids.push_back(label_id(label));
+  return ids;
+}
+
 double ThroughputEngine::throughput(
     const std::vector<std::pair<std::string, int>>& demand) {
-  ++stats_.queries;
-  trail_.clear();
-  prev_dirty_labels_ = dirty_labels_;
-  prev_ratio_ = ratio_;
-  prev_has_result_ = has_result_;
-  ++epoch_;
+  std::vector<int> ids;
+  std::vector<int> counts;
+  ids.reserve(demand.size());
+  counts.reserve(demand.size());
+  for (const auto& [label, rs] : demand) {
+    ids.push_back(label_id(label));
+    counts.push_back(rs);
+  }
+  return throughput(ids, counts);
+}
 
-  // rs_demand() emits the same sorted label sequence for one instance on
-  // every call, so the label→id resolution is memoized per sequence and
-  // revalidated with plain string equality — cheaper than re-hashing
-  // thousands of connection names per move on large instances.
-  const std::size_t count = demand.size();
-  bool cached = count == seq_labels_.size();
-  if (cached) {
-    for (std::size_t i = 0; i < count; ++i)
-      if (demand[i].first != seq_labels_[i]) {
-        cached = false;
-        break;
-      }
-  }
-  if (!cached) {
-    seq_labels_.resize(count);
-    seq_ids_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      seq_labels_[i] = demand[i].first;
-      const auto it = label_ids_.find(demand[i].first);
-      seq_ids_[i] =
-          it == label_ids_.end() ? -1 : static_cast<int>(it->second);
-    }
-  }
+double ThroughputEngine::throughput(const std::vector<int>& label_ids,
+                                    const std::vector<int>& demand) {
+  WP_REQUIRE(label_ids.size() == demand.size(),
+             "ThroughputEngine: one label id per demand entry");
+  ++stats_.queries;
+  changed_ = false;
+  ++epoch_;
 
   // Pass 1: apply the demanded labels (duplicates: last one wins, like the
   // evaluator's sequential apply; unknown labels are ignored).
   touched_scratch_.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (seq_ids_[i] < 0) continue;  // label absent from the graph
-    const auto label = static_cast<std::size_t>(seq_ids_[i]);
+  for (std::size_t i = 0; i < label_ids.size(); ++i) {
+    if (label_ids[i] < 0) continue;  // label absent from the graph
+    const auto label = static_cast<std::size_t>(label_ids[i]);
     if (label_epoch_[label] != epoch_) {
       label_epoch_[label] = epoch_;
       touched_scratch_.push_back(label);
     }
-    set_label_edges(label, demand[i].second);
+    set_label_edges(label, demand[i]);
   }
   // Pass 2: labels dirtied by an earlier demand but absent from this one
   // revert to the base counts — the evaluator's whole-graph reset, paid
@@ -150,8 +148,7 @@ double ThroughputEngine::throughput(
   for (const std::size_t label : touched_scratch_)
     if (label_dirty_[label]) dirty_labels_.push_back(label);
 
-  can_undo_ = true;
-  if (trail_.empty() && has_result_) {
+  if (!changed_ && has_result_) {
     ++stats_.unchanged;
     return ratio_;
   }
@@ -402,22 +399,6 @@ std::vector<EdgeId> ThroughputEngine::rebuild_certificate(double lambda) {
   // last relaxed edge — divergent, but without a clean witness; let the
   // caller's descent cap hand this to the parametric search.
   return {};
-}
-
-void ThroughputEngine::undo() {
-  WP_REQUIRE(can_undo_, "ThroughputEngine: nothing to undo");
-  for (auto it = trail_.rbegin(); it != trail_.rend(); ++it)
-    g_.edge(it->edge).relay_stations = it->old_relay_stations;
-  trail_.clear();
-  for (const std::size_t label : dirty_labels_) label_dirty_[label] = 0;
-  dirty_labels_ = prev_dirty_labels_;
-  for (const std::size_t label : dirty_labels_) label_dirty_[label] = 1;
-  ratio_ = prev_ratio_;
-  has_result_ = prev_has_result_;
-  can_undo_ = false;
-  ++stats_.undos;
-  // Howard state and the certificate stay as they are: both are advisory —
-  // every future query re-validates them against the current graph.
 }
 
 }  // namespace wp::graph

@@ -10,10 +10,15 @@
 // incremental the same way packing became incremental (batch_pack):
 //
 //   * the RS graph is built ONCE per instance; each demand vector is
-//     applied as an in-place edge-latency delta with an undo trail
-//     (labels absent from the new demand revert to base counts — the
-//     evaluator's reset semantics, paid only where an edge actually
-//     changes);
+//     applied as an in-place edge-latency delta (labels absent from the
+//     new demand revert to base counts — the evaluator's reset
+//     semantics, paid only where an edge actually changes), and a demand
+//     that changes no edge returns the cached ratio;
+//   * demands address edges by connection label, interned once as dense
+//     label ids: hot loops resolve their labels with resolve() once and
+//     query by id, so no string is hashed or compared per query. The
+//     string form resolves each label through the same table and then
+//     runs the id query;
 //   * optimality is RE-CERTIFIED LAZILY: the engine keeps the dual
 //     certificate of the last solve — per-node potentials π with
 //     tokens_e − λ·latency_e + π(src) − π(dst) ≥ 0 for every edge, which
@@ -76,7 +81,6 @@ class ThroughputEngine {
     std::uint64_t cycle_hits = 0;  ///< previous critical cycle re-certified
     std::uint64_t warm_hits = 0;   ///< warm policy sweeps certified
     std::uint64_t fallbacks = 0;   ///< cold certified re-solve
-    std::uint64_t undos = 0;
 
     /// Queries resolved without a cold solve.
     std::uint64_t incremental() const {
@@ -97,14 +101,18 @@ class ThroughputEngine {
   /// min_cycle_ratio_howard() on the configured graph.
   double throughput(const std::vector<std::pair<std::string, int>>& demand);
 
+  /// This engine's label id of each of `labels`; -1 = label not in the
+  /// graph. Resolve once, then query by id.
+  std::vector<int> resolve(const std::vector<std::string>& labels) const;
+
+  /// The id-indexed query: `demand[i]` relay stations on label
+  /// `label_ids[i]` (ids from resolve(); -1 entries are skipped). Same
+  /// semantics and results as the string form.
+  double throughput(const std::vector<int>& label_ids,
+                    const std::vector<int>& demand);
+
   /// Same, keyed form (the experiment driver's RsConfig::rs shape).
   double with_rs_map(const std::map<std::string, int>& rs);
-
-  /// Reverts the edge mutations of the most recent query and restores its
-  /// predecessor's cached result — one level deep, the annealer's
-  /// accept/reject shape (mirrors BatchedMoveEvaluator::revert()).
-  void undo();
-  bool can_undo() const { return can_undo_; }
 
   /// Test hook: with incremental certification off, every solving query
   /// takes the cold fallback path (demand deltas still apply in place).
@@ -117,6 +125,7 @@ class ThroughputEngine {
   const Digraph& graph() const { return g_; }
 
  private:
+  int label_id(const std::string& label) const;  ///< -1 if absent
   void set_label_edges(std::size_t label, int relay_stations);
   void revert_label_to_base(std::size_t label);
   double solve();
@@ -138,11 +147,6 @@ class ThroughputEngine {
 
   // Label interning: demand vectors address edges by connection label.
   std::unordered_map<std::string, std::size_t> label_ids_;
-  /// Memoized label→id resolution of the last demand's label sequence
-  /// (rs_demand emits a stable sorted sequence; equality-checked per
-  /// query, rebuilt on any mismatch). -1 = label absent from the graph.
-  std::vector<std::string> seq_labels_;
-  std::vector<int> seq_ids_;
   std::vector<std::vector<EdgeId>> label_edges_;
   std::vector<std::uint64_t> label_epoch_;  ///< last query touching a label
   std::vector<char> label_dirty_;  ///< any edge differs from base
@@ -172,18 +176,11 @@ class ThroughputEngine {
   std::vector<char> in_worklist_;
   std::vector<std::uint32_t> pops_;  ///< per-node pop counts of one repair
 
-  // Cached result of the current configuration + one-deep undo trail.
+  // Cached result of the current configuration; changed_ records whether
+  // the latest demand changed any edge.
   double ratio_ = 1.0;
   bool has_result_ = false;
-  struct TrailEntry {
-    EdgeId edge;
-    int old_relay_stations;
-  };
-  std::vector<TrailEntry> trail_;
-  std::vector<std::size_t> prev_dirty_labels_;
-  double prev_ratio_ = 1.0;
-  bool prev_has_result_ = false;
-  bool can_undo_ = false;
+  bool changed_ = false;
 
   Stats stats_;
 };
