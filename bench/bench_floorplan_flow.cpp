@@ -73,8 +73,7 @@ struct ScaleRow {
   std::size_t blocks = 0;
   std::string engine;
   double anneal_ms = 0, pack_ms = 0;
-  std::uint64_t persistent = 0, prime = 0, full = 0, rebuilds = 0,
-                saved = 0;
+  std::uint64_t prime = 0, full = 0;
 };
 struct OracleRow {
   std::size_t blocks = 0;
@@ -119,10 +118,9 @@ PackingRow bench_packing_engines(wp::TextTable& table, std::size_t blocks) {
 
   // Annealer-shaped move loops: a seeded move stream with a fixed accept
   // pattern (accept one move in `accept_mod`). The half-reject loop is the
-  // classic mid-anneal regime; the 1-in-16 loop is the cold tail, where
-  // the batched evaluator's rejection path (shared prime + persistent
-  // dominance index) is designed to win. With `check_naive` the loop is
-  // the untimed replay: every candidate must equal pack() bitwise.
+  // classic mid-anneal regime; the 1-in-16 loop is the cold tail. With
+  // `check_naive` the loop is the untimed replay: every candidate must
+  // equal pack() bitwise.
   const int moves = 2000;
   const auto run_batched = [&](std::uint64_t seed, int accept_mod,
                                bool check_naive) {
@@ -303,8 +301,8 @@ int main(int argc, char** argv) {
   }
   synth.print(std::cout);
 
-  // Packing-engine head-to-head: the O(n²) reference vs the speculative
-  // BatchedMoveEvaluator's per-move delta paths, at 50% and 1-in-16
+  // Packing-engine head-to-head: the O(n²) reference vs the
+  // BatchedMoveEvaluator's prefix-reusing pass, at 50% and 1-in-16
   // accept rates.
   TextTable packt({"blocks", "naive ms/pack", "batched us/move",
                    "move speedup", "tail batched us"});
@@ -361,8 +359,8 @@ int main(int argc, char** argv) {
   // comparison is about. One untimed kNaive run per size must land on the
   // identical anneal.
   std::vector<ScaleRow> scale_rows;
-  TextTable scalet({"blocks", "engine", "anneal ms", "pack ms", "persistent",
-                    "primed", "full", "rebuilds", "prime pos saved"});
+  TextTable scalet(
+      {"blocks", "engine", "anneal ms", "pack ms", "primed", "full"});
   scalet.add_section(
       "Scaling: area-driven anneal, 20000 iterations, bounded-degree nets");
   scalet.add_separator();
@@ -383,16 +381,11 @@ int main(int argc, char** argv) {
     scale_ms[blocks == 128u ? 0 : 1] = anneal_ms;
     const char* engine = fplan::pack_engine_name(anneal_options.pack_engine);
     scale_rows.push_back({blocks, engine, anneal_ms, r.pack_ms,
-                          r.batch_persistent_evals, r.batch_prime_evals,
-                          r.batch_full_packs, r.batch_index_rebuilds,
-                          r.batch_reprime_saved});
+                          r.batch_prime_evals, r.batch_full_packs});
     scalet.add_row({std::to_string(blocks), engine, fmt_fixed(anneal_ms, 1),
                     fmt_fixed(r.pack_ms, 1),
-                    std::to_string(r.batch_persistent_evals),
                     std::to_string(r.batch_prime_evals),
-                    std::to_string(r.batch_full_packs),
-                    std::to_string(r.batch_index_rebuilds),
-                    std::to_string(r.batch_reprime_saved)});
+                    std::to_string(r.batch_full_packs)});
     anneal_options.pack_engine = PackEngine::kNaive;
     const AnnealResult naive = fplan::anneal(inst, anneal_options);
     if (naive.cost != r.cost || naive.placement.x != r.placement.x) {
@@ -555,11 +548,8 @@ int main(int argc, char** argv) {
           .field("pack_engine", r.engine)
           .field("anneal_ms", r.anneal_ms)
           .field("pack_ms", r.pack_ms)
-          .field("batch_persistent_evals", r.persistent)
           .field("batch_prime_evals", r.prime)
-          .field("batch_full_packs", r.full)
-          .field("batch_index_rebuilds", r.rebuilds)
-          .field("batch_reprime_saved", r.saved);
+          .field("batch_full_packs", r.full);
       json.end_object();
     }
     json.end_array();

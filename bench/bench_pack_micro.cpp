@@ -1,11 +1,9 @@
 // Micro-benchmarks for the packing primitives under the annealer's hot
-// loop: the epoch-stamped MaxFenwick (plain updates, logged updates with
-// trail rewind, and the O(1)-amortised reset), the persistent dominance
-// index (build cost and O(log² n) prefix queries), and the end-to-end
-// per-move cost of rejection-heavy move chains under the
-// BatchedMoveEvaluator. Each chain is replayed outside the timed region
-// against naive pack(), move by move, and any bitwise placement divergence
-// fails the run.
+// loop: the epoch-stamped MaxFenwick (updates, prefix queries and the
+// O(1)-amortised reset) and the end-to-end per-move cost of
+// rejection-heavy move chains under the BatchedMoveEvaluator. Each chain
+// is replayed outside the timed region against naive pack(), move by
+// move, and any bitwise placement divergence fails the run.
 //
 // Self-contained (no google-benchmark): deterministic seeded workloads,
 // checksums printed so the measured loops cannot be optimised away, and a
@@ -38,7 +36,6 @@ using wp::fplan::Instance;
 using wp::fplan::Placement;
 using wp::fplan::SequencePair;
 using wp::fplan::SpMove;
-using wp::fplan::detail::DominanceIndex;
 using wp::fplan::detail::MaxFenwick;
 
 constexpr std::size_t kBlocks = 256;
@@ -148,64 +145,6 @@ int main(int argc, char** argv) {
                  fmt_fixed(fenwick_total_ms, 1),
                  fmt_fixed(fenwick_op_ns, 1) + " ns/op"});
 
-  // --------------------------------------------- logged update + rewind
-  // The batched evaluator's shared-prime pattern: extend the tree with
-  // logged updates, take a mark halfway, keep extending, then rewind to
-  // the mark — paying the trail on every node write.
-  const int logged_reps = 20000;
-  double logged_checksum = 0;
-  const auto logged_start = std::chrono::steady_clock::now();
-  for (int r = 0; r < logged_reps; ++r) {
-    fw.reset(kBlocks);
-    for (std::size_t i = 0; i < kBlocks / 2; ++i)
-      fw.update_logged(keys[i], vals[i]);
-    const std::size_t mark = fw.mark();
-    for (std::size_t i = kBlocks / 2; i < kBlocks; ++i)
-      fw.update_logged(keys[i], vals[i]);
-    logged_checksum += fw.prefix_max(kBlocks);
-    fw.rewind(mark);
-    logged_checksum += fw.prefix_max(kBlocks);
-  }
-  const double logged_total_ms = ms_since(logged_start);
-  const double logged_op_ns =
-      logged_total_ms * 1e6 / (logged_reps * kBlocks * 1.5);
-  table.add_row({"MaxFenwick", "logged update + rewind x" +
-                                   std::to_string(logged_reps),
-                 fmt_fixed(logged_total_ms, 1),
-                 fmt_fixed(logged_op_ns, 1) + " ns/op"});
-
-  // ------------------------------------------------- dominance index
-  std::vector<std::uint32_t> leaf_keys(kBlocks);
-  std::vector<double> leaf_vals(kBlocks);
-  for (std::size_t i = 0; i < kBlocks; ++i) {
-    leaf_keys[i] = static_cast<std::uint32_t>(keys[i]);
-    leaf_vals[i] = vals[i];
-  }
-  DominanceIndex dom;
-  const int build_reps = 5000;
-  const auto build_start = std::chrono::steady_clock::now();
-  for (int r = 0; r < build_reps; ++r) dom.build(leaf_keys, leaf_vals);
-  const double dom_build_total_ms = ms_since(build_start);
-  const double dom_build_us = dom_build_total_ms * 1000.0 / build_reps;
-  table.add_row({"DominanceIndex", "build x" + std::to_string(build_reps),
-                 fmt_fixed(dom_build_total_ms, 1),
-                 fmt_fixed(dom_build_us, 2) + " us/build"});
-
-  const int query_reps = 2000000;
-  double query_checksum = 0;
-  Rng query_rng(23);
-  const auto query_start = std::chrono::steady_clock::now();
-  for (int r = 0; r < query_reps; ++r) {
-    const std::size_t prefix = query_rng.below(kBlocks + 1);
-    const auto bound = static_cast<std::uint32_t>(query_rng.below(kBlocks));
-    query_checksum += dom.query(prefix, bound);
-  }
-  const double dom_query_total_ms = ms_since(query_start);
-  const double dom_query_ns = dom_query_total_ms * 1e6 / query_reps;
-  table.add_row({"DominanceIndex", "query x" + std::to_string(query_reps),
-                 fmt_fixed(dom_query_total_ms, 1),
-                 fmt_fixed(dom_query_ns, 1) + " ns/query"});
-
   // ------------------------------- rejection-heavy move chain, n = 256
   // The annealing cold tail: 1 move in 16 accepted, uniform global swaps.
   // The replay must match naive pack() at every move, and its checksum
@@ -233,8 +172,8 @@ int main(int argc, char** argv) {
   // ------------------------------- local-move chain (tail refinement)
   // Rejection-heavy *local* moves — swaps confined to the last few Γ−
   // positions, the shape of late-anneal refinement — keep the dirty
-  // suffix tiny and the clean prefix huge. This is the persistent
-  // dominance index's home regime: no per-candidate prefix prime at all.
+  // suffix tiny and the clean prefix huge: the pass copies the prefix and
+  // relaxes only the tail. The annealer never issues these moves.
   const int local_moves = 4000;
   const auto local_move = [](SequencePair& sp, Rng& chain_rng) {
     const std::size_t i = kBlocks - 1 - chain_rng.below(kLocalSpan);
@@ -259,20 +198,11 @@ int main(int argc, char** argv) {
                  fmt_fixed(local.total_ms * 1000.0 / local_moves, 2) +
                      " us/move"});
   table.print(std::cout);
-  const BatchedMoveEvaluator::Stats& stats = chain.stats;
-  std::cout << "chain path split: " << stats.persistent_evals
-            << " persistent / " << stats.prime_evals << " primed / "
-            << stats.full_packs << " full; " << stats.index_rebuilds
-            << " index rebuilds\n";
-  const BatchedMoveEvaluator::Stats& local_stats = local.stats;
-  std::cout << "local chain path split: " << local_stats.persistent_evals
-            << " persistent / " << local_stats.prime_evals << " primed / "
-            << local_stats.full_packs << " full; "
-            << local_stats.index_rebuilds << " index rebuilds; "
-            << local_stats.reprime_positions_saved
-            << " prime positions saved\n";
-  std::cout << "checksums: " << checksum << " " << logged_checksum << " "
-            << query_checksum << " " << chain.checksum << "\n";
+  std::cout << "chain pass split: " << chain.stats.prime_evals
+            << " prefix-reusing / " << chain.stats.full_packs << " full\n";
+  std::cout << "local chain pass split: " << local.stats.prime_evals
+            << " prefix-reusing / " << local.stats.full_packs << " full\n";
+  std::cout << "checksums: " << checksum << " " << chain.checksum << "\n";
 
   // ---------------------------------------------------- JSON artifact
   std::ofstream file(json_path);
@@ -286,12 +216,6 @@ int main(int argc, char** argv) {
   json.field("blocks", kBlocks);
   json.field("fenwick_pass_total_ms", fenwick_total_ms)
       .field("fenwick_op_ns", fenwick_op_ns)
-      .field("fenwick_logged_total_ms", logged_total_ms)
-      .field("fenwick_logged_op_ns", logged_op_ns)
-      .field("dominance_build_total_ms", dom_build_total_ms)
-      .field("dominance_build_us_each", dom_build_us)
-      .field("dominance_query_total_ms", dom_query_total_ms)
-      .field("dominance_query_op_ns", dom_query_ns)
       .field("chain_batched_total_ms", chain.total_ms)
       .field("local_chain_batched_total_ms", local.total_ms);
   json.end_object();

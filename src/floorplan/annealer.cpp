@@ -119,13 +119,16 @@ class CostModel {
             ? options_.throughput_engine->throughput(engine_ids_, demand_)
             : options_.throughput_fn(labelled_demand(*table_, demand_));
     if (stats) stats->throughput_ms += ms_since(oracle_start);
-    if (cache_.size() >= kMaxEntries) cache_.clear();
+    if (cache_.size() * demand_.size() >= kMaxDemandInts) cache_.clear();
     cache_.emplace(demand_, th);
     if (stats) ++stats->throughput_evals;
     return th;
   }
 
-  static constexpr std::size_t kMaxEntries = 1 << 16;
+  /// The memo is bounded by the demand ints its keys hold, not by entry
+  /// count: every entry copies a whole demand vector, which is 3503 ints
+  /// at synthetic_instance(150, 7). 2^22 ints is 16 MiB of keys.
+  static constexpr std::size_t kMaxDemandInts = std::size_t{1} << 22;
 
   const Instance& inst_;
   const AnnealOptions& options_;
@@ -137,7 +140,7 @@ class CostModel {
 };
 
 /// The move loop shared by kNaive and kBatched. The batched engine
-/// speculates windows of candidates against a pinned baseline
+/// packs each candidate against the last committed placement
 /// (BatchedMoveEvaluator); the naive engine re-packs from scratch.
 /// Placements are bit-identical across both, so the accept/reject stream
 /// — and hence the whole trajectory — is engine-independent. Wirelength
@@ -205,11 +208,8 @@ void run_serial_loop(const Instance& inst, const AnnealOptions& options,
 
   if (batched) {
     const BatchedMoveEvaluator::Stats& batch_stats = evaluator->stats();
-    best.batch_persistent_evals = batch_stats.persistent_evals;
     best.batch_prime_evals = batch_stats.prime_evals;
     best.batch_full_packs = batch_stats.full_packs;
-    best.batch_index_rebuilds = batch_stats.index_rebuilds;
-    best.batch_reprime_saved = batch_stats.reprime_positions_saved;
   }
 }
 

@@ -55,9 +55,9 @@ struct AnnealOptions {
   /// bit-identical placements (and therefore identical annealing
   /// trajectories under a fixed seed): kNaive re-runs the O(n²) relaxation
   /// per move and stays the differential oracle, kBatched (the default)
-  /// runs the speculative BatchedMoveEvaluator — windows of candidates
-  /// share one pinned baseline, rejected candidates cost
-  /// O(dirty·polylog n) via the persistent dominance index.
+  /// runs the BatchedMoveEvaluator — one O(n log n) Fenwick pass per
+  /// candidate that copies the clean Γ− prefix from the last committed
+  /// placement instead of re-relaxing it.
   PackEngine pack_engine = PackEngine::kBatched;
 };
 
@@ -86,16 +86,11 @@ struct AnnealResult {
   /// queries the run issued.
   std::uint64_t engine_incremental = 0;
   std::uint64_t engine_fallbacks = 0;
-  /// BatchedMoveEvaluator path counters for this run (zeros under kNaive):
-  /// candidates served by the persistent dominance index vs the
-  /// incrementally-primed shared Fenwick trees vs full repacks, dominance
-  /// rebuilds paid, and the Γ− prime positions the batched paths skipped
-  /// relative to a per-candidate from-scratch prime.
-  std::uint64_t batch_persistent_evals = 0;
+  /// BatchedMoveEvaluator counters for this run (zeros under kNaive):
+  /// candidates whose pass reused a clean Γ− prefix (0 < from < n) vs
+  /// full packs (from == 0). Degenerate i == j moves count in neither.
   std::uint64_t batch_prime_evals = 0;
   std::uint64_t batch_full_packs = 0;
-  std::uint64_t batch_index_rebuilds = 0;
-  std::uint64_t batch_reprime_saved = 0;
   /// Wall-clock breakdown (informational, never compared): time inside
   /// packing calls and inside the throughput oracle, for the bench
   /// tables/JSON showing each stage's share of the anneal.

@@ -76,7 +76,7 @@ struct EnsembleConfig {
   /// sample (private evaluator). weight_throughput > 0 makes the
   /// floorplanner fight for loop throughput, the paper's methodology.
   /// anneal.pack_engine selects the packing engine (default kBatched, the
-  /// speculative batched path; placements are bit-identical to kNaive).
+  /// prefix-reusing Fenwick pass; placements are bit-identical to kNaive).
   fplan::AnnealOptions anneal;
   /// Johnson cycle-enumeration cap for the per-sample cycle count; graphs
   /// whose elementary-cycle count exceeds it record cycles = -1 instead of

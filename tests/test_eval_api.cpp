@@ -5,8 +5,10 @@
 // guard, the
 // adapter guarantee (proc::run_experiment / simulate_wp2_throughput /
 // ParallelSweep rows are bit-identical to direct SimOracle calls), error
-// containment in eval::evaluate, and the prefix-hash golden-trace mode
-// (digest equivalence, oracle parity with full mode, v2 persistence).
+// containment in eval::evaluate, the served floorplan composition
+// (evaluate ≡ anneal → rs_demand → engine query, engine counters
+// included), and the prefix-hash golden-trace mode (digest equivalence,
+// oracle parity with full mode, v2 persistence).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,12 +20,18 @@
 
 #include "eval/evaluate.hpp"
 #include "eval/request.hpp"
+#include "floorplan/annealer.hpp"
+#include "floorplan/model.hpp"
 #include "gen/ensemble.hpp"
+#include "gen/instances.hpp"
+#include "gen/topologies.hpp"
+#include "graph/throughput_engine.hpp"
 #include "proc/experiment.hpp"
 #include "proc/programs.hpp"
 #include "sim/golden_cache.hpp"
 #include "sim/oracle.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "util/wire.hpp"
 
 namespace wp::eval {
@@ -477,6 +485,83 @@ TEST(EvalErrors, FloorplanEvaluationIsDeterministic) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a.floorplan == b.floorplan);
+}
+
+/// The floorplan composition spelled out step by step: generate → dress →
+/// anneal with a private incremental engine over the zero-RS topology →
+/// rs_demand of the best placement → one engine query. servebench's
+/// replayer composes a served reply the same way and checks the daemon
+/// against it, so evaluate() must stay equal to this.
+FloorplanResult compose_floorplan(const FloorplanJob& job) {
+  Rng rng(job.seed);
+  const graph::Digraph topology = gen::generate_topology(job.topology, rng);
+  const gen::GeneratedSystem sys =
+      gen::dress_topology(topology, job.system, rng);
+  graph::Digraph base = topology;
+  for (graph::EdgeId e = 0; e < base.num_edges(); ++e)
+    base.edge(e).relay_stations = 0;
+  graph::ThroughputEngine engine(std::move(base));
+  fplan::AnnealOptions options = job.anneal.to_options();
+  options.throughput_fn = nullptr;
+  options.throughput_engine = &engine;
+  const fplan::AnnealResult annealed = fplan::anneal(sys.instance, options);
+
+  FloorplanResult result;
+  result.area = annealed.area;
+  result.wirelength = annealed.wirelength;
+  result.cost = annealed.cost;
+  result.accepted_moves = annealed.accepted_moves;
+  result.evaluations = annealed.evaluations;
+  const auto demand =
+      fplan::rs_demand(sys.instance, annealed.placement, options.delay_model);
+  for (const auto& entry : demand) result.total_rs += entry.second;
+  result.throughput = engine.throughput(demand);
+  result.engine_incremental = engine.stats().incremental();
+  result.engine_fallbacks = engine.stats().fallbacks;
+  return result;
+}
+
+TEST(EvalFloorplan, ServedShapesMatchTheStepwiseComposition) {
+  // One throughput-driven and one area-driven job of the served shapes
+  // (mesh-48 at 2000 iterations, BA-64 at 6000), each sent through a wire
+  // round trip first, as a served request is.
+  FloorplanJob throughput_job;
+  throughput_job.topology.family = gen::TopologyFamily::kMesh;
+  throughput_job.topology.num_nodes = 48;
+  throughput_job.seed = 11;
+  throughput_job.anneal.seed = 12;
+  throughput_job.anneal.weight_wirelength = 0.05;
+  throughput_job.anneal.iterations = 2000;
+  throughput_job.anneal.weight_throughput = 50.0;
+  FloorplanJob area_job;
+  area_job.topology.family = gen::TopologyFamily::kBarabasiAlbert;
+  area_job.topology.num_nodes = 64;
+  area_job.seed = 13;
+  area_job.anneal.seed = 14;
+  area_job.anneal.weight_wirelength = 0.05;
+  area_job.anneal.iterations = 6000;
+  area_job.anneal.weight_throughput = 0.0;
+
+  for (const FloorplanJob& job : {throughput_job, area_job}) {
+    const std::string bytes = encoded(EvalRequest(job));
+    wire::Reader r(bytes);
+    const EvalRequest request = EvalRequest::decode(r);
+    const EvalReply reply = evaluate(request, {});
+    ASSERT_TRUE(reply.ok()) << reply.error.message;
+    const FloorplanResult expected = compose_floorplan(request.floorplan);
+    EXPECT_TRUE(reply.floorplan == expected)
+        << "weight_throughput " << job.anneal.weight_throughput
+        << ": served cost " << reply.floorplan.cost << " vs "
+        << expected.cost << ", throughput " << reply.floorplan.throughput
+        << " vs " << expected.throughput << ", engine "
+        << reply.floorplan.engine_incremental << "/"
+        << reply.floorplan.engine_fallbacks << " vs "
+        << expected.engine_incremental << "/" << expected.engine_fallbacks;
+    if (job.anneal.weight_throughput > 0.0) {
+      EXPECT_GT(expected.engine_incremental + expected.engine_fallbacks,
+                1u);
+    }
+  }
 }
 
 // ----------------------------------------------------- prefix-hash mode

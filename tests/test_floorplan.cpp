@@ -3,6 +3,13 @@
 // station model, the parser, and the annealer's improvement guarantees.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "util/assert.hpp"
 
 #include "floorplan/annealer.hpp"
@@ -301,6 +308,46 @@ TEST(AnnealParallel, MemoCacheSkipsRepeatedThroughputDemands) {
   // them instead of re-solving the min cycle ratio.
   EXPECT_GT(result.throughput_cache_hits, result.throughput_evals);
   EXPECT_EQ(result.evaluations, options.iterations);
+}
+
+TEST(AnnealParallel, MemoIsBoundedByDemandSizeNotEntryCount) {
+  // synthetic_instance(150, 7) has 3503 connections, so each memo entry
+  // holds a 3503-int key, and 65536 entries would hold ~0.9 GB of keys.
+  // The memo must clear long before that: after a clear, a demand seen
+  // before it reaches the oracle again. A slow clock leaves most nets
+  // without relay stations and a cold schedule keeps the current state in
+  // place, so candidates often revisit a demand seen earlier.
+  const Instance inst = synthetic_instance(150, 7);
+  std::unordered_map<std::uint64_t, int> calls;  // demand hash -> calls
+  std::size_t demand_size = 0;
+  AnnealOptions options;
+  options.iterations = 4000;
+  options.seed = 5;
+  options.initial_temperature = 1e-6;
+  options.weight_throughput = 1.0;
+  options.delay_model.clock_ps = 6000.0;
+  options.throughput_fn =
+      [&](const std::vector<std::pair<std::string, int>>& demand) {
+        demand_size = demand.size();
+        std::uint64_t h = 1469598103934665603ULL;
+        for (const auto& [label, rs] : demand) {
+          h ^= std::hash<std::string>{}(label) + static_cast<std::uint32_t>(rs);
+          h *= 1099511628211ULL;
+        }
+        ++calls[h];
+        return 0.5;
+      };
+  const AnnealResult result = anneal(inst, options);
+  ASSERT_EQ(demand_size, 3503u);
+  int total = 0;
+  for (const auto& entry : calls) total += entry.second;
+  // One call past the memo re-costs the best placement, a demand the loop
+  // already solved; every other repeat was forgotten by a clear.
+  EXPECT_EQ(total, result.throughput_evals + 1);
+  EXPECT_GT(total - static_cast<int>(calls.size()), 1)
+      << total << " oracle calls over " << calls.size()
+      << " distinct demands, " << result.throughput_cache_hits
+      << " memo hits";
 }
 
 TEST(Instances, SyntheticIsDeterministic) {

@@ -1,15 +1,14 @@
 // Differential guardrail for the batched packing engine: the
 // BatchedMoveEvaluator must be *bitwise* identical to the naive O(n²)
 // pack() on randomized instances across sizes, including through long
-// randomized move/undo chains, across the delta-vs-full-repack fallback
-// paths, and across every batched evaluation path (persistent dominance
-// index / incremental shared prime / full repack) and window size K. Also
-// pins down the move involution invariants (apply+undo restores both
-// permutations for every SpMove kind, i == j degenerate cases included),
-// the exactness of the batched evaluator's dirty-block reports, and the
-// engine-independence of the annealer: naive and batched runs of the same
-// seed produce the same trajectory, serial and pooled restarts the same
-// best, and the ensemble pipeline the same samples.
+// randomized move/undo chains and through chains that force each shape of
+// its one pass (full pass from = 0, tail-local from near n, degenerate
+// i == j moves). Also pins down the move involution invariants (apply+undo
+// restores both permutations for every SpMove kind, i == j degenerate
+// cases included) and the engine-independence of the annealer: naive and
+// batched runs of the same seed produce the same trajectory, serial and
+// pooled restarts the same best, and the ensemble pipeline the same
+// samples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -138,108 +137,155 @@ TEST_P(IncrementalEquivalence, RandomMoveUndoChainsMatchNaive) {
 INSTANTIATE_TEST_SUITE_P(Sizes, IncrementalEquivalence,
                          ::testing::Values<std::size_t>(2, 3, 8, 32, 128));
 
-// ----------------------------------------- batched speculative engine
+// ----------------------------------------------- batched evaluator
 
 class BatchedEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BatchedEquivalence, SpeculativeChainsMatchNaiveForEveryWindowSize) {
-  // Reject-biased chains (the annealing-tail regime the evaluator exists
-  // for) through every window size: each candidate, each revert and each
-  // commit must leave the evaluator bitwise equal to a fresh naive pack.
-  // The same seed drives every K, so this also proves the chain the
-  // evaluator walks — and therefore the trajectory — is K-independent.
+  // Reject-biased chains (the annealing-tail regime) with explicit commits:
+  // each candidate, each revert and each commit must leave the evaluator
+  // bitwise equal to a fresh naive pack. (The name predates the removal of
+  // speculation windows; every candidate is now its own window.)
   const std::size_t n = GetParam();
   const Instance inst = instance_of(n, 13 * n + 7);
-  for (const std::size_t k : {std::size_t{1}, std::size_t{4},
-                              std::size_t{16}}) {
-    wp::Rng rng(4000 + n);
-    SequencePair sp = SequencePair::random(n, rng);
-    BatchOptions options;
-    options.batch_size = k;
-    BatchedMoveEvaluator evaluator(inst, sp, options);
-    const int moves = n >= 100 ? 150 : 400;
-    for (int m = 0; m < moves; ++m) {
-      const AppliedMove move = random_move(sp, rng);
-      ASSERT_TRUE(placements_identical(evaluator.apply(move), pack(inst, sp)))
-          << "n=" << n << " K=" << k << " move " << m << " kind "
-          << static_cast<int>(move.kind) << " i=" << move.i
-          << " j=" << move.j;
-      if (rng.chance(0.7)) {  // reject: undo + revert must restore baseline
-        undo_move(sp, move);
-        evaluator.revert();
-        ASSERT_TRUE(
-            placements_identical(evaluator.placement(), pack(inst, sp)))
-            << "n=" << n << " K=" << k << " after revert of move " << m;
-        ASSERT_EQ(evaluator.sequence_pair().positive, sp.positive);
-        ASSERT_EQ(evaluator.sequence_pair().negative, sp.negative);
-      } else {
-        evaluator.commit();
-      }
+  wp::Rng rng(4000 + n);
+  SequencePair sp = SequencePair::random(n, rng);
+  BatchedMoveEvaluator evaluator(inst, sp);
+  const int moves = n >= 100 ? 150 : 400;
+  for (int m = 0; m < moves; ++m) {
+    const AppliedMove move = random_move(sp, rng);
+    ASSERT_TRUE(placements_identical(evaluator.apply(move), pack(inst, sp)))
+        << "n=" << n << " move " << m << " kind "
+        << static_cast<int>(move.kind) << " i=" << move.i << " j=" << move.j;
+    if (rng.chance(0.7)) {  // reject: undo + revert must restore baseline
+      undo_move(sp, move);
+      evaluator.revert();
+      ASSERT_TRUE(placements_identical(evaluator.placement(), pack(inst, sp)))
+          << "n=" << n << " after revert of move " << m;
+      ASSERT_EQ(evaluator.sequence_pair().positive, sp.positive);
+      ASSERT_EQ(evaluator.sequence_pair().negative, sp.negative);
+    } else {
+      evaluator.commit();
     }
-    EXPECT_EQ(evaluator.stats().candidates,
-              static_cast<std::uint64_t>(moves));
-    EXPECT_EQ(evaluator.stats().persistent_evals +
-                  evaluator.stats().prime_evals +
-                  evaluator.stats().full_packs,
-              static_cast<std::uint64_t>(moves));
   }
+  // random_move never draws i == j, so every candidate ran a pass.
+  EXPECT_EQ(evaluator.stats().candidates, static_cast<std::uint64_t>(moves));
+  EXPECT_EQ(evaluator.stats().prime_evals + evaluator.stats().full_packs,
+            static_cast<std::uint64_t>(moves));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BatchedEquivalence,
                          ::testing::Values<std::size_t>(2, 3, 8, 32, 128));
 
-TEST(BatchedMoveEvaluator, AllEvaluationPathsAgreeOnTheSameChain) {
-  // Force each path: persistent_fraction = 1 with batch_size 1 rebuilds
-  // the dominance index after every rejected window, so nearly every
-  // candidate runs through the persistent structure; persistent_fraction
-  // = 0 forces the incremental shared-prime path; fallback_fraction = 0
-  // forces full repacks. All three walk the same move chain and must stay
-  // bitwise identical to naive pack() throughout.
-  const std::size_t n = 48;
-  const Instance inst = synthetic_instance(n, 29);
-  wp::Rng rng(31);
-  SequencePair sp = SequencePair::random(n, rng);
-
-  BatchOptions persistent;
-  persistent.batch_size = 1;
-  persistent.persistent_fraction = 1.0;
-  persistent.fallback_fraction = 1.0;
-  BatchOptions primed;
-  primed.persistent_fraction = 0.0;
-  primed.fallback_fraction = 1.0;
-  BatchOptions full;
-  full.fallback_fraction = 0.0;
-
-  BatchedMoveEvaluator via_index(inst, sp, persistent);
-  BatchedMoveEvaluator via_prime(inst, sp, primed);
-  BatchedMoveEvaluator via_full(inst, sp, full);
-  for (int m = 0; m < 300; ++m) {
-    const AppliedMove move = random_move(sp, rng);
-    const Placement& reference = pack(inst, sp);
-    ASSERT_TRUE(placements_identical(via_index.apply(move), reference))
-        << "persistent path, move " << m;
-    ASSERT_TRUE(placements_identical(via_prime.apply(move), reference))
-        << "prime path, move " << m;
-    ASSERT_TRUE(placements_identical(via_full.apply(move), reference))
-        << "full path, move " << m;
-    if (rng.chance(0.6)) {
+/// Drives `evaluator` through `moves` moves drawn by draw(sp, rng), which
+/// applies the move to `sp`, rejecting three in four. Every candidate and
+/// every revert is checked bitwise against naive pack(); the path counters
+/// must account for every candidate.
+template <typename DrawMove>
+void run_forced_chain(const Instance& inst, SequencePair& sp,
+                      BatchedMoveEvaluator& evaluator, wp::Rng& rng,
+                      int moves, const DrawMove& draw, const char* label) {
+  std::uint64_t degenerate = 0;
+  for (int m = 0; m < moves; ++m) {
+    const AppliedMove move = draw(sp, rng);
+    if (move.i == move.j) ++degenerate;
+    ASSERT_TRUE(placements_identical(evaluator.apply(move), pack(inst, sp)))
+        << label << " chain, move " << m << " kind "
+        << static_cast<int>(move.kind) << " i=" << move.i << " j=" << move.j;
+    if (m % 4 != 3) {
       undo_move(sp, move);
-      via_index.revert();
-      via_prime.revert();
-      via_full.revert();
+      evaluator.revert();
+      ASSERT_TRUE(placements_identical(evaluator.placement(), pack(inst, sp)))
+          << label << " chain, after revert of move " << m;
     } else {
-      via_index.commit();
-      via_prime.commit();
-      via_full.commit();
+      evaluator.commit();
     }
   }
-  EXPECT_EQ(via_full.stats().persistent_evals, 0u);
-  EXPECT_EQ(via_full.stats().prime_evals, 0u);
-  EXPECT_GT(via_index.stats().persistent_evals, 0u);
-  EXPECT_GT(via_index.stats().index_rebuilds, 0u);
-  EXPECT_EQ(via_prime.stats().persistent_evals, 0u);
-  EXPECT_GT(via_prime.stats().prime_evals, 0u);
-  EXPECT_GT(via_prime.stats().reprime_positions_saved, 0u);
+  const BatchedMoveEvaluator::Stats& stats = evaluator.stats();
+  EXPECT_EQ(stats.candidates, static_cast<std::uint64_t>(moves)) << label;
+  EXPECT_EQ(stats.candidates,
+            stats.full_packs + stats.prime_evals + degenerate)
+      << label;
+}
+
+TEST(BatchedMoveEvaluator, ForcedPassShapesMatchNaive) {
+  // One chain per pass shape, each on a fresh evaluator so its counters
+  // belong to that shape alone.
+  const std::size_t n = 48;
+  const Instance inst = synthetic_instance(n, 29);
+
+  // from == 0: a Γ− swap that involves position 0 dirties everything.
+  {
+    wp::Rng rng(31);
+    SequencePair sp = SequencePair::random(n, rng);
+    BatchedMoveEvaluator evaluator(inst, sp);
+    run_forced_chain(inst, sp, evaluator, rng, 200,
+                     [&](SequencePair& pair, wp::Rng& r) {
+                       const AppliedMove move{SpMove::kSwapNegative, 0,
+                                              1 + r.below(n - 1)};
+                       apply_move(pair, move);
+                       return move;
+                     },
+                     "full");
+    EXPECT_EQ(evaluator.stats().full_packs, 200u);
+    EXPECT_EQ(evaluator.stats().prime_evals, 0u);
+  }
+
+  // Tail-local from near n: both swapped blocks sit among the last six Γ−
+  // positions, so from ≥ n − 6. Γ− swaps swap those positions directly;
+  // Γ+ swaps swap the two blocks' Γ+ positions, wherever those are.
+  {
+    wp::Rng rng(37);
+    SequencePair sp = SequencePair::random(n, rng);
+    BatchedMoveEvaluator evaluator(inst, sp);
+    run_forced_chain(inst, sp, evaluator, rng, 300,
+                     [&](SequencePair& pair, wp::Rng& r) {
+                       std::size_t i = n - 1 - r.below(6);
+                       std::size_t j = n - 1 - r.below(6);
+                       if (j == i) j = i == n - 1 ? n - 2 : n - 1;
+                       SpMove kind = SpMove::kSwapNegative;
+                       if (r.chance(0.5)) {
+                         kind = SpMove::kSwapPositive;
+                         const auto at = [&](std::size_t k) {
+                           return static_cast<std::size_t>(
+                               std::find(pair.positive.begin(),
+                                         pair.positive.end(),
+                                         pair.negative[k]) -
+                               pair.positive.begin());
+                         };
+                         i = at(i);
+                         j = at(j);
+                       }
+                       const AppliedMove move{kind, i, j};
+                       apply_move(pair, move);
+                       return move;
+                     },
+                     "tail");
+    EXPECT_EQ(evaluator.stats().full_packs, 0u);
+    EXPECT_EQ(evaluator.stats().prime_evals, 300u);
+  }
+
+  // Degenerate i == j moves interleaved with uniform random ones: a
+  // degenerate candidate runs no pass, and its revert must not restore a
+  // stale parked placement.
+  {
+    wp::Rng rng(41);
+    SequencePair sp = SequencePair::random(n, rng);
+    BatchedMoveEvaluator evaluator(inst, sp);
+    run_forced_chain(inst, sp, evaluator, rng, 300,
+                     [&](SequencePair& pair, wp::Rng& r) {
+                       if (r.chance(0.5)) return random_move(pair, r);
+                       const auto kind = static_cast<SpMove>(r.below(
+                           static_cast<std::uint64_t>(SpMove::kCount)));
+                       const std::size_t i = r.below(n);
+                       const AppliedMove move{kind, i, i};
+                       apply_move(pair, move);
+                       return move;
+                     },
+                     "degenerate");
+    EXPECT_LT(evaluator.stats().full_packs + evaluator.stats().prime_evals,
+              300u);
+  }
 }
 
 TEST(BatchedMoveEvaluator, ImplicitCommitMatchesExplicitCommit) {
@@ -271,7 +317,7 @@ TEST(BatchedMoveEvaluator, FallbackBoundariesAndDegenerateMoves) {
   const Instance inst = synthetic_instance(8, 4);
   wp::Rng rng(5);
   const SequencePair sp = SequencePair::random(8, rng);
-  // Degenerate i == j moves are no-ops on every path and revert cleanly.
+  // Degenerate i == j moves are no-ops and revert cleanly.
   for (const SpMove kind :
        {SpMove::kSwapPositive, SpMove::kSwapNegative, SpMove::kSwapBoth}) {
     BatchedMoveEvaluator evaluator(inst, sp);
@@ -282,7 +328,7 @@ TEST(BatchedMoveEvaluator, FallbackBoundariesAndDegenerateMoves) {
     EXPECT_EQ(evaluator.sequence_pair().negative, sp.negative);
     evaluator.revert();
     ASSERT_TRUE(placements_identical(evaluator.placement(), before));
-    // ... and committing one must not invalidate the baseline structures.
+    // ... and committing one must keep the baseline.
     evaluator.apply(degenerate);
     evaluator.commit();
     ASSERT_TRUE(placements_identical(evaluator.placement(), before));
@@ -331,53 +377,6 @@ TEST(BatchedMoveEvaluator, MisuseDiesLoudly) {
   undo_move(sp, move);
   evaluator.revert();
   EXPECT_THROW(evaluator.revert(), wp::ContractViolation);  // double revert
-  BatchOptions bad;
-  bad.batch_size = 0;
-  EXPECT_THROW(BatchedMoveEvaluator(inst, sp, bad), wp::ContractViolation);
-}
-
-// ------------------------------------------------ dirty-block reports
-
-TEST(BatchedEvaluator, DirtyBlocksExactOnEveryPath) {
-  // dirty_blocks() must list exactly the blocks whose coordinates the
-  // candidate changed — no more, no fewer — on every evaluation path,
-  // including the full-repack fallback (which diffs against the saved
-  // baseline rather than reporting "everything").
-  const std::size_t n = 32;
-  const Instance inst = synthetic_instance(n, 19);
-  for (const double fallback : {0.0, 0.75}) {
-    wp::Rng rng(23);
-    SequencePair sp = SequencePair::random(n, rng);
-    BatchOptions options;
-    options.fallback_fraction = fallback;
-    BatchedMoveEvaluator evaluator(inst, sp, options);
-    Placement baseline = evaluator.placement();
-    for (int m = 0; m < 300; ++m) {
-      const AppliedMove move = random_move(sp, rng);
-      const Placement& candidate = evaluator.apply(move);
-      if (fallback == 0.0 && move.i != move.j) {
-        ASSERT_TRUE(evaluator.last_was_full());
-      }
-      std::vector<bool> reported(n, false);
-      for (const std::uint32_t b : evaluator.dirty_blocks()) {
-        ASSERT_LT(b, n);
-        ASSERT_FALSE(reported[b]) << "duplicate dirty report, move " << m;
-        reported[b] = true;
-      }
-      for (std::size_t b = 0; b < n; ++b) {
-        const bool moved = candidate.x[b] != baseline.x[b] ||
-                           candidate.y[b] != baseline.y[b];
-        ASSERT_EQ(reported[b], moved) << "block " << b << ", move " << m;
-      }
-      if (rng.chance(0.6)) {
-        undo_move(sp, move);
-        evaluator.revert();
-      } else {
-        evaluator.commit();
-        baseline = evaluator.placement();
-      }
-    }
-  }
 }
 
 // --------------------------------------------------------------- moves
@@ -468,9 +467,8 @@ TEST(AnnealerEngines, AreaDrivenRunsAreBitIdenticalAcrossEngines) {
   naive.pack_engine = PackEngine::kNaive;
   AnnealOptions batched = naive;
   batched.pack_engine = PackEngine::kBatched;
-  // The batched engine must reproduce the naive trajectory exactly; its
-  // window size K amortizes baseline work and never reorders RNG draws or
-  // decisions (BatchedEquivalence sweeps K directly).
+  // The batched engine must reproduce the naive trajectory exactly: it
+  // changes how a candidate is packed, never the RNG draws or decisions.
   EXPECT_TRUE(identical_results(anneal(inst, naive), anneal(inst, batched)));
 }
 
